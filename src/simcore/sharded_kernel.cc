@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <functional>
 
 namespace ibsim {
 
@@ -200,6 +201,7 @@ ShardedKernel::startWorkers()
     jobs_ = static_cast<unsigned>(std::min<std::size_t>(
         jobs_, std::max<std::size_t>(1, islands_.size())));
     rebuildNeighbors();
+    lb_.assign(islands_.size(), 0);
     for (unsigned w = 0; w < jobs_; ++w) {
         workers_.emplace_back();
         ready_.emplace_back();
@@ -248,14 +250,9 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
     bool advanced = false;
     for (;;) {
         Time done = Time::fromNs(is.done.load(std::memory_order_relaxed));
-
-        if (done >= round_limit) {
-            // Degenerate round (limit == the synchronized clock): the
-            // island starts already at the round limit.
-            is.roundDone.store(true, std::memory_order_relaxed);
-            doneCount_.fetch_add(1, std::memory_order_release);
-            return Step::RoundDone;
-        }
+        // Dispatch starts a live island below its bound <= round_limit,
+        // and every publish at round_limit also finishes the round.
+        assert(done < round_limit);
 
         // Read the in-neighbor clocks BEFORE probing channels: a clock
         // published at c guarantees (release/acquire) that every item
@@ -701,38 +698,55 @@ ShardedKernel::workerLoop(unsigned worker)
 }
 
 void
-ShardedKernel::dispatchRound(Time init_done, Time round_limit)
+ShardedKernel::dispatchRound(Time round_limit)
 {
     roundLimit_ = round_limit;
     roundAbort_.store(false, std::memory_order_relaxed);
     tokenPos_ = 0;
     tokenClean_ = 0;
     seqWindowsRound_ = 0;
-    for (Island& is : islands_) {
-        is.done.store(init_done.toNs(), std::memory_order_relaxed);
-        is.roundDone.store(false, std::memory_order_relaxed);
-        is.dirty.store(false, std::memory_order_relaxed);
-    }
+    const std::size_t n = islands_.size();
     if (useReady_) {
-        // Seed each worker's shard with its static block — the same
-        // spread Static mode pins, so the first pops have affinity and
-        // workers fan out before the first steal.
-        const std::size_t n = islands_.size();
         for (unsigned w = 0; w < jobs_; ++w)
             ready_[w].q.clear();
-        for (std::size_t i = 0; i < n; ++i) {
-            islands_[i].sched.store(kSchedReady,
-                                    std::memory_order_relaxed);
+    }
+    std::size_t idle = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        Island& is = islands_[i];
+        is.dirty.store(false, std::memory_order_relaxed);
+        if (lb_[i] > round_limit.toNs()) {
+            // Nothing can reach this island before the round limit: it
+            // finishes the round here, never queued or scanned.
+            is.done.store(round_limit.toNs(), std::memory_order_relaxed);
+            is.roundDone.store(true, std::memory_order_relaxed);
+            is.sched.store(kSchedDone, std::memory_order_relaxed);
+            ++idle;
+            continue;
+        }
+        // One below the bound: an item landing exactly on it still
+        // executes — also when the round limit equals the synchronized
+        // clock (run(now()) with an event at now(), EventQueue::run()'s
+        // events-at-limit-run semantics).
+        is.done.store(lb_[i] - 1, std::memory_order_relaxed);
+        is.roundDone.store(false, std::memory_order_relaxed);
+        if (useReady_) {
+            // Seed each worker's shard with its static block — the same
+            // spread Static mode pins, so the first pops have affinity
+            // and workers fan out before the first steal.
+            is.sched.store(kSchedReady, std::memory_order_relaxed);
             const unsigned owner = static_cast<unsigned>(
                 i * static_cast<std::size_t>(jobs_) / n);
             ready_[owner].q.push_back(static_cast<std::uint32_t>(i));
         }
+    }
+    if (useReady_) {
         for (unsigned w = 0; w < jobs_; ++w) {
             ready_[w].maxDepth = std::max<std::uint64_t>(
                 ready_[w].maxDepth, ready_[w].q.size());
         }
     }
-    doneCount_.store(0, std::memory_order_relaxed);
+    idleIslandRounds_ += idle;
+    doneCount_.store(idle, std::memory_order_relaxed);
     if (jobs_ <= 1) {
         workerRound(0);
         return;
@@ -750,14 +764,51 @@ ShardedKernel::dispatchRound(Time init_done, Time round_limit)
 }
 
 Time
-ShardedKernel::earliestPending() const
+ShardedKernel::earliestPending()
 {
     Time earliest = Time::max();
-    for (const Island& is : islands_)
-        earliest = std::min(earliest, is.queue->nextEventTime());
-    for (std::size_t i = 0; i < islands_.size(); ++i)
-        earliest = std::min(earliest, inboundEarliest(i));
+    for (std::size_t i = 0; i < islands_.size(); ++i) {
+        const Time own =
+            std::min(islands_[i].queue->nextEventTime(), inboundEarliest(i));
+        lb_[i] = own.toNs();
+        earliest = std::min(earliest, own);
+    }
     return earliest;
+}
+
+void
+ShardedKernel::relaxBounds(Time round_limit)
+{
+    // Multi-source shortest paths from every island's own earliest item,
+    // each edge weighing one lookahead (DESIGN.md §12.d). Only bounds at
+    // or below the round limit matter, so an island settled past
+    // limit - L relaxes nothing: its out-neighbors would land past it.
+    const std::int64_t l = lookahead_.toNs();
+    const std::int64_t last = round_limit.toNs() - l;
+    const auto later = std::greater<>();
+    lbHeap_.clear();
+    for (std::size_t i = 0; i < islands_.size(); ++i) {
+        if (lb_[i] <= last)
+            lbHeap_.emplace_back(lb_[i], static_cast<std::uint32_t>(i));
+    }
+    std::make_heap(lbHeap_.begin(), lbHeap_.end(), later);
+    while (!lbHeap_.empty()) {
+        std::pop_heap(lbHeap_.begin(), lbHeap_.end(), later);
+        const auto [at, i] = lbHeap_.back();
+        lbHeap_.pop_back();
+        if (at != lb_[i])
+            continue;  // superseded by a smaller bound, already settled
+        const std::int64_t reach = at + l;
+        for (std::uint32_t o : islands_[i].outNbr) {
+            if (reach >= lb_[o])
+                continue;
+            lb_[o] = reach;
+            if (reach <= last) {
+                lbHeap_.emplace_back(reach, o);
+                std::push_heap(lbHeap_.begin(), lbHeap_.end(), later);
+            }
+        }
+    }
 }
 
 void
@@ -837,22 +888,13 @@ ShardedKernel::runCore(Time limit, const std::function<bool()>* pred,
             roundStart.toNs() +
             l * static_cast<std::int64_t>(roundWindows));
         const Time roundLimit = std::min(roundEnd - Time::ns(1), limit);
-        Time initDone = std::max(roundStart - Time::ns(1), now_);
-        if (initDone >= roundLimit) {
-            // Degenerate round: the limit equals the synchronized clock
-            // (e.g. the first run(Time(0)) with an event at t = 0).
-            // Starting the clocks *below* the limit makes the window
-            // containing it execute — mirroring EventQueue::run()'s
-            // events-at-limit-run semantics — instead of every island
-            // reporting roundDone untouched and the loop spinning.
-            initDone = roundLimit - Time::ns(1);
-        }
-        dispatchRound(initDone, roundLimit);
+        relaxBounds(roundLimit);
+        dispatchRound(roundLimit);
         ++rounds_;
         // A token abort is sound only when nothing at or below the
         // round limit was skipped; the quiesced re-check is free here.
         assert(!roundAbort_.load(std::memory_order_relaxed) ||
-               earliestPending() > roundLimit);
+               allQuietBelow(roundLimit));
         if (adaptive) {
             // Every completed busy round doubles the next one (capped):
             // long predicate-free drains quiesce O(log) instead of
@@ -941,6 +983,7 @@ ShardedKernel::kernelStats() const
     s.triggerExits = triggerExits_;
     s.drainAborts = drainAborts_.load(std::memory_order_relaxed);
     s.roundsSkipped = roundsSkipped_;
+    s.idleIslandRounds = idleIslandRounds_;
     for (const ReadyShard& shard : ready_) {
         s.maxReadyQueueDepth =
             std::max(s.maxReadyQueueDepth, shard.maxDepth);

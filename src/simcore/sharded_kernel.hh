@@ -61,6 +61,19 @@
  * purely from simulation-visible state, so long drains quiesce
  * logarithmically rather than linearly often.
  *
+ * Round starts are per island (DESIGN.md §12.d). At each quiesce the
+ * kernel takes every island's earliest pending item (queue or inbound
+ * channel) and relaxes it over the declared edge graph, one lookahead
+ * per hop, into a lower bound lb_i on the first virtual time island i
+ * can execute anything this round: an in-neighbor j executes nothing
+ * before lb_j, so nothing it sends lands before lb_j + L. Island i
+ * starts the round with its clock published at lb_i - 1 instead of the
+ * round start, and an island whose bound lies past the round limit
+ * starts the round finished — it is never queued or scanned. Each
+ * island still executes exactly the same grid windows with the same
+ * flush horizons, so results are bit-identical; only the no-op clock
+ * creeps through idle windows disappear.
+ *
  * What the kernel deliberately does not do: share any RNG, wire-id
  * counter or packet pool between islands (the fabric forks all three per
  * island), or interleave same-timestamp events across islands the way a
@@ -80,6 +93,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "simcore/event_queue.hh"
@@ -303,7 +317,8 @@ class ShardedKernel
      * workerBusyFraction, drainAborts and maxReadyQueueDepth describe
      * the *schedule*, which is timing-dependent — they are not part of
      * the deterministic surface the differential tests compare
-     * (triggerExits and roundsSkipped are deterministic).
+     * (triggerExits, roundsSkipped and idleIslandRounds are
+     * deterministic).
      */
     struct KernelStats
     {
@@ -315,6 +330,8 @@ class ShardedKernel
         std::uint64_t triggerExits = 0;    ///< runs exited via trigger flag
         std::uint64_t drainAborts = 0;     ///< round tails cut by the token
         std::uint64_t roundsSkipped = 0;   ///< quiesces adaptive rounds saved
+        /** Island-rounds finished at dispatch (bound past the limit). */
+        std::uint64_t idleIslandRounds = 0;
         std::uint64_t maxReadyQueueDepth = 0;  ///< deepest ready shard seen
         std::vector<std::uint64_t> executedPerIsland;  ///< logical islands
         std::uint64_t maxIslandExecuted = 0;
@@ -392,8 +409,9 @@ class ShardedKernel
     bool runCore(Time limit, const std::function<bool()>* pred,
                  bool* pred_hit);
 
-    /** Execute one round up to @p round_limit across all workers. */
-    void dispatchRound(Time init_done, Time round_limit);
+    /** Execute one round up to @p round_limit across all workers; each
+     * island's clock starts at lb_ - 1 (or finished, past the limit). */
+    void dispatchRound(Time round_limit);
 
     /** One worker's participation in the current round. */
     void workerRound(unsigned worker);
@@ -454,8 +472,14 @@ class ShardedKernel
     /** Whether @p island was declared dense (edges to every island). */
     bool isDense(std::size_t island) const;
 
-    /** Earliest pending work over all islands and channels (quiesced). */
-    Time earliestPending() const;
+    /** Earliest pending work over all islands and channels (quiesced).
+     * Records each island's own earliest item in lb_ (relaxBounds()). */
+    Time earliestPending();
+
+    /** Relax lb_ over the edge graph, L per hop: island i executes
+     * nothing this round before lb_[i] (exact up to @p round_limit,
+     * beyond it only known to lie past the limit). */
+    void relaxBounds(Time round_limit);
 
     /** Line every island clock up at @p t (t >= every island's now). */
     void syncClocks(Time t);
@@ -492,6 +516,7 @@ class ShardedKernel
     std::atomic<std::uint64_t> steals_{0};
     std::uint64_t triggerExits_ = 0;   ///< coordinator-written
     std::uint64_t roundsSkipped_ = 0;  ///< coordinator-written
+    std::uint64_t idleIslandRounds_ = 0;  ///< coordinator-written
     std::atomic<std::uint64_t> drainAborts_{0};
     /** @} */
 
@@ -511,6 +536,12 @@ class ShardedKernel
     std::uint32_t tokenClean_ = 0;
     std::atomic<bool> roundAbort_{false};
     std::uint64_t seqWindowsRound_ = 0;  ///< jobs = 1 drain-probe gate
+    /** @} */
+
+    /** @{ Round-start lower bounds in ns (coordinator-only, quiesced),
+     * and the (bound, island) min-heap relaxBounds() settles them with. */
+    std::vector<std::int64_t> lb_;
+    std::vector<std::pair<std::int64_t, std::uint32_t>> lbHeap_;
     /** @} */
 
     /** Ready-queue shards (one per worker; Stealing + ReadyQueue). */

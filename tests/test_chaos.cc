@@ -1608,6 +1608,10 @@ struct StormSoakResult
     std::uint64_t completions = 0;
     bool drained = false;
     std::string report;
+    /** Deterministic island-kernel counters. */
+    std::uint64_t windows = 0;
+    std::uint64_t channelParcels = 0;
+    std::uint64_t idleIslandRounds = 0;
 };
 
 StormSoakResult
@@ -1739,6 +1743,10 @@ runCombinedStormSoak(std::uint64_t seed, unsigned jobs,
     for (std::size_t k = 0; k < pairs; ++k)
         out.completions += reqCq[k]->totalCompletions();
     out.report = monitor.report();
+    const auto ks = cluster.shardedKernel()->kernelStats();
+    out.windows = ks.windows;
+    out.channelParcels = ks.channelParcels;
+    out.idleIslandRounds = ks.idleIslandRounds;
     return out;
 }
 
@@ -1805,6 +1813,12 @@ TEST(ChaosPortEvents, CombinedStormSoakIsJobInvariant)
                       seq.storm.pagesInvalidated)
                 << "jobs=" << jobs << " " << name;
             EXPECT_EQ(par.completions, seq.completions)
+                << "jobs=" << jobs << " " << name;
+            EXPECT_EQ(par.windows, seq.windows)
+                << "jobs=" << jobs << " " << name;
+            EXPECT_EQ(par.channelParcels, seq.channelParcels)
+                << "jobs=" << jobs << " " << name;
+            EXPECT_EQ(par.idleIslandRounds, seq.idleIslandRounds)
                 << "jobs=" << jobs << " " << name;
         }
     }

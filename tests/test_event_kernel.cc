@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -221,13 +222,22 @@ namespace {
  * vector, so recording is race-free at any worker count. */
 using IslandTrace = std::vector<std::pair<std::int64_t, int>>;
 
+/** The per-island traces plus the deterministic kernel counters. */
+struct TwoIslandRun
+{
+    std::vector<IslandTrace> traces;
+    std::uint64_t windows = 0;
+    std::uint64_t channelParcels = 0;
+    std::uint64_t idleIslandRounds = 0;
+};
+
 /**
  * Run a fixed two-island workload (interleaved timestamps, some inside
  * one lookahead window, some spanning several) and return the per-island
- * traces. The workload is identical for every jobs value; the traces
- * must be too.
+ * traces and counters. The workload is identical for every jobs value;
+ * the traces and counters must be too.
  */
-std::vector<IslandTrace>
+TwoIslandRun
 runTwoIslandWorkload(unsigned jobs,
                      ScheduleMode mode = ScheduleMode::Stealing)
 {
@@ -257,14 +267,14 @@ runTwoIslandWorkload(unsigned jobs,
     EXPECT_EQ(ks.executedPerIsland.size(), 2u);
     EXPECT_EQ(ks.executedPerIsland[0] + ks.executedPerIsland[1],
               kernel.executed());
-    return traces;
+    return {traces, ks.windows, ks.channelParcels, ks.idleIslandRounds};
 }
 
 } // namespace
 
 TEST(ShardedKernel, WindowedRunMatchesTimestampOrderPerIsland)
 {
-    const auto traces = runTwoIslandWorkload(1);
+    const auto traces = runTwoIslandWorkload(1).traces;
     ASSERT_EQ(traces.size(), 2u);
     for (const IslandTrace& trace : traces) {
         ASSERT_EQ(trace.size(), 9u);
@@ -280,13 +290,19 @@ TEST(ShardedKernel, WindowedRunMatchesTimestampOrderPerIsland)
 TEST(ShardedKernel, TracesAreBitIdenticalAcrossWorkerCounts)
 {
     const auto reference = runTwoIslandWorkload(1);
-    // jobs is clamped to the island count, so 8 exercises the clamp;
-    // both schedule modes must produce the same content.
+    // jobs is clamped to the island count, so 4 and 8 exercise the
+    // clamp; both schedule modes must produce the same content.
     for (const ScheduleMode mode :
          {ScheduleMode::Static, ScheduleMode::Stealing}) {
-        EXPECT_EQ(runTwoIslandWorkload(1, mode), reference);
-        EXPECT_EQ(runTwoIslandWorkload(2, mode), reference);
-        EXPECT_EQ(runTwoIslandWorkload(8, mode), reference);
+        for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+            const TwoIslandRun run = runTwoIslandWorkload(jobs, mode);
+            EXPECT_EQ(run.traces, reference.traces) << "jobs=" << jobs;
+            EXPECT_EQ(run.windows, reference.windows) << "jobs=" << jobs;
+            EXPECT_EQ(run.channelParcels, reference.channelParcels)
+                << "jobs=" << jobs;
+            EXPECT_EQ(run.idleIslandRounds, reference.idleIslandRounds)
+                << "jobs=" << jobs;
+        }
     }
 }
 
@@ -601,6 +617,10 @@ struct FloodOutcome
     std::uint64_t violations = 0;
     std::int64_t stopNs = 0;
     bool completed = false;
+    /** Deterministic island-kernel counters (0 on the single queue). */
+    std::uint64_t windows = 0;
+    std::uint64_t channelParcels = 0;
+    std::uint64_t idleIslandRounds = 0;
 
     bool
     operator==(const FloodOutcome& o) const
@@ -704,6 +724,12 @@ runMiniFlood(unsigned jobs, std::uint64_t seed,
     out.dropped = cluster.fabric().totalDropped();
     out.completions = completions();
     out.violations = monitor.violationCount();
+    if (const ShardedKernel* kernel = cluster.shardedKernel()) {
+        const auto ks = kernel->kernelStats();
+        out.windows = ks.windows;
+        out.channelParcels = ks.channelParcels;
+        out.idleIslandRounds = ks.idleIslandRounds;
+    }
     return out;
 }
 
@@ -728,6 +754,11 @@ TEST(ShardedKernel, FloodIsBitIdenticalAcrossWorkerCounts)
                 << seq.traceHash << std::dec << ", sent " << par.sent
                 << " vs " << seq.sent << ", completions "
                 << par.completions << " vs " << seq.completions;
+            EXPECT_EQ(par.windows, seq.windows) << "jobs=" << jobs;
+            EXPECT_EQ(par.channelParcels, seq.channelParcels)
+                << "jobs=" << jobs;
+            EXPECT_EQ(par.idleIslandRounds, seq.idleIslandRounds)
+                << "jobs=" << jobs;
         }
     }
 
@@ -1142,5 +1173,137 @@ TEST(ShardedKernel, StealingDrainTokenKeepsResultsIntact)
         EXPECT_EQ(ran.load(), n);
         EXPECT_EQ(kernel.executed(), n);
         EXPECT_EQ(kernel.pending(), 0u);
+    }
+}
+
+// =====================================================================
+// Round-start lower bounds (DESIGN.md §12.d): each island starts a
+// round at its own bound, relaxed one lookahead per edge hop from
+// every island's earliest pending item; islands bounded past the round
+// limit finish the round at dispatch. The counters are deterministic,
+// so every case runs under every schedule.
+// =====================================================================
+
+namespace {
+
+struct BoundSchedule
+{
+    unsigned jobs;
+    ScheduleMode mode;
+    StealPolicy policy;
+};
+
+/** jobs = 1 plus Static, ready-queue and scan stealing at jobs = 4. */
+constexpr BoundSchedule kBoundSchedules[] = {
+    {1, ScheduleMode::Stealing, StealPolicy::ReadyQueue},
+    {4, ScheduleMode::Static, StealPolicy::ReadyQueue},
+    {4, ScheduleMode::Stealing, StealPolicy::ReadyQueue},
+    {4, ScheduleMode::Stealing, StealPolicy::ScanLegacy},
+};
+
+/** L = 1 us, rounds pinned to two windows: work in [0, 999] ns opens
+ * the round [0, 1999] ns. */
+std::unique_ptr<ShardedKernel>
+makeBoundKernel(const BoundSchedule& s, std::size_t islands)
+{
+    auto kernel = std::make_unique<ShardedKernel>(Time::us(1), s.jobs,
+                                                  s.mode);
+    kernel->setStealPolicy(s.policy);
+    kernel->setWindowsPerRound(2);
+    for (std::size_t i = 0; i < islands; ++i)
+        kernel->addIsland();
+    return kernel;
+}
+
+} // namespace
+
+TEST(ShardedKernel, ChainBoundSkipsIslandsPastTheRoundLimit)
+{
+    // A -> B -> C with work only on A at t = 999 ns: B's bound is
+    // t + L = 1999 ns, inside the round [0, 1999]; C's is t + 2L =
+    // 2999 ns, past it, so C finishes the round at dispatch.
+    for (const BoundSchedule& s : kBoundSchedules) {
+        auto kernel = makeBoundKernel(s, 3);
+        kernel->declareEdge(0, 1);
+        kernel->declareEdge(1, 2);
+        bool ran = false;
+        kernel->island(0).schedule(Time::ns(999), [&ran] { ran = true; });
+        EXPECT_TRUE(kernel->run());
+        EXPECT_TRUE(ran);
+        const auto ks = kernel->kernelStats();
+        EXPECT_EQ(ks.barriers, 1u) << "jobs=" << s.jobs;
+        EXPECT_EQ(ks.windows, 1u) << "jobs=" << s.jobs;
+        EXPECT_EQ(ks.idleIslandRounds, 1u) << "jobs=" << s.jobs;
+    }
+}
+
+TEST(ShardedKernel, ParcelLandingOnTheBoundRunsInThatRound)
+{
+    // A at t = 999 ns posts to B with effect t + L = 1999 ns — exactly
+    // B's bound and the round limit. B's clock starts at bound - 1, so
+    // the parcel executes in the first round; a clock started at the
+    // bound would end B's round untouched and defer it to a second.
+    for (const BoundSchedule& s : kBoundSchedules) {
+        auto kernel = makeBoundKernel(s, 2);
+        kernel->declareEdge(0, 1);
+        MailboxAgent mail(*kernel);
+        kernel->island(0).schedule(Time::ns(999),
+                                   [&mail] { mail.post(0, 1, 7); });
+        EXPECT_TRUE(kernel->run());
+        ASSERT_EQ(mail.received_[1].size(), 1u) << "jobs=" << s.jobs;
+        EXPECT_EQ(mail.received_[1][0],
+                  (std::pair<std::int64_t, int>{1999, 7}));
+        const auto ks = kernel->kernelStats();
+        EXPECT_EQ(ks.barriers, 1u) << "jobs=" << s.jobs;
+        EXPECT_EQ(ks.idleIslandRounds, 0u) << "jobs=" << s.jobs;
+        EXPECT_EQ(ks.channelParcels, 1u) << "jobs=" << s.jobs;
+        kernel->removeBarrierAgent(&mail);
+    }
+}
+
+TEST(ShardedKernel, IdlePairExecutesNoWindow)
+{
+    // Pairs 0 <-> 1 and 2 <-> 3, work on the first pair only, in two
+    // rounds ([0, 1999] and [4000, 5999] ns). The idle pair is finished
+    // at dispatch in both: it executes no window and its clocks end at
+    // the last round limit with everyone else's.
+    for (const BoundSchedule& s : kBoundSchedules) {
+        auto kernel = makeBoundKernel(s, 4);
+        for (const auto& [a, b] : {std::pair{0, 1}, std::pair{2, 3}}) {
+            kernel->declareEdge(a, b);
+            kernel->declareEdge(b, a);
+        }
+        for (const std::int64_t ns : {100L, 1500L, 4200L})
+            kernel->island(0).schedule(Time::ns(ns), [] {});
+        kernel->island(1).schedule(Time::ns(5100), [] {});
+        EXPECT_TRUE(kernel->run(Time::ns(5999)));
+        const auto ks = kernel->kernelStats();
+        EXPECT_EQ(ks.barriers, 2u) << "jobs=" << s.jobs;
+        EXPECT_EQ(ks.windows, 4u) << "jobs=" << s.jobs;
+        EXPECT_EQ(ks.idleIslandRounds, 4u) << "jobs=" << s.jobs;
+        EXPECT_EQ(ks.executedPerIsland,
+                  (std::vector<std::uint64_t>{3, 1, 0, 0}));
+        for (std::size_t i = 0; i < kernel->islandCount(); ++i)
+            EXPECT_EQ(kernel->island(i).now(), Time::ns(5999))
+                << "island " << i << " jobs=" << s.jobs;
+    }
+}
+
+TEST(ShardedKernel, DenseIslandTakesItsBoundFromEveryIsland)
+{
+    // Island 3 is dense, nothing else is connected. Work at 999 ns on
+    // any other island bounds the dense one at 1999 ns (inside the
+    // round) and the remaining two at 2999 ns through it (past it).
+    for (const BoundSchedule& s : kBoundSchedules) {
+        for (std::size_t src = 0; src < 3; ++src) {
+            auto kernel = makeBoundKernel(s, 4);
+            kernel->declareDense(3);
+            kernel->island(src).schedule(Time::ns(999), [] {});
+            EXPECT_TRUE(kernel->run());
+            const auto ks = kernel->kernelStats();
+            EXPECT_EQ(ks.barriers, 1u);
+            EXPECT_EQ(ks.idleIslandRounds, 2u)
+                << "source " << src << " jobs=" << s.jobs;
+        }
     }
 }
