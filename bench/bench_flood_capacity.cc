@@ -78,9 +78,7 @@ struct CapacityResult
 CapacityResult
 runCapacityTrial(std::size_t qps, std::size_t pairs,
                  std::size_t ops_per_wave, bool audit, std::uint64_t seed,
-                 unsigned jobs = 0,
-                 ScheduleMode mode = ScheduleMode::Stealing,
-                 unsigned client_planes = 1)
+                 unsigned jobs = 0, unsigned client_planes = 1)
 {
     const std::size_t qpsPerPair = qps / pairs;
     constexpr std::uint64_t bytesPerQp = 4096;  // one ODP page per QP
@@ -88,7 +86,6 @@ runCapacityTrial(std::size_t qps, std::size_t pairs,
     ClusterOptions options;
     options.sharded = jobs > 0;
     options.jobs = jobs > 0 ? jobs : 1;
-    options.scheduleMode = mode;
     Cluster cluster(rnic::DeviceProfile::connectX4(), 0, seed,
                     net::LinkConfig{}, options);
     struct PlaneRegion
@@ -332,7 +329,7 @@ registerFloodCapacity(exp::Registry& registry)
                          static_cast<unsigned>(cell.num("planes"));
                      const CapacityResult r = runCapacityTrial(
                          qps, parallelPairs, opsPerWave, false, seed,
-                         jobs, ScheduleMode::Stealing, planes);
+                         jobs, planes);
                      const double perPkt =
                          r.packets > 0
                              ? r.wallNs / static_cast<double>(r.packets)
@@ -399,15 +396,17 @@ registerFloodCapacity(exp::Registry& registry)
              psink.note(
                  "One island per node plus per-QP-group client planes "
                  "(planes=4 splits each client\nmachine into 4 islands); "
-                 "pairwise channel clocks, work-stealing scheduler.\n"
+                 "pairwise channel clocks; each connected component "
+                 "runs on one worker per round.\n"
                  "jobs=1 runs the windowed algorithm inline (the "
                  "sequential reference); every jobs>1\nrun is "
                  "bit-identical to it. Waves wait via per-island "
                  "completion triggers\n(runUntilCompletions): trig_exit "
                  "counts runs that stopped inside a worker pass.\n"
-                 "steals / lag_ns / busy_* / ready_q / drain_aborts are "
-                 "wall-clock scheduler\nobservability, not part of the "
-                 "deterministic surface.");
+                 "steals / busy_* / ready_q (deepest per-worker slice "
+                 "of live components)\nare wall-clock scheduler "
+                 "observability, not part of the deterministic "
+                 "surface.");
          }});
 }
 

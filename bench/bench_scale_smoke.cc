@@ -10,26 +10,26 @@
  * drives a fixed population of ping-pong message pairs across up to
  * 1024 islands — no RNIC, no fabric, just EventQueues, channel clocks
  * and a minimal BarrierAgent — and reports wall-clock ns per executed
- * event for each scheduler:
+ * event.
  *
- *   sched=static  worker-pinned island blocks (ScheduleMode::Static)
- *   sched=scan    Stealing with the round-two O(islands) claim scan
- *                 (StealPolicy::ScanLegacy)
- *   sched=ready   Stealing with the sharded ready queue (the default)
+ * The kernel has one scheduler: each round, every live connected
+ * component of the edge graph (here: one ping-pong pair, or one idle
+ * island) runs whole on one worker, homed by component index and stolen
+ * whole by idle workers (DESIGN.md §12.e). The `sched` axis keeps its
+ * single value `ready` — the label of the default scheduler's rows
+ * since the axis was introduced — so the committed baseline rows keep
+ * matching; it now names that component scheduler.
  *
  * The pair count does not grow with the topology, so at 1024 islands
- * only a small fraction of islands is runnable in any window — the
- * sparse regime the ready queue exists for: the legacy claim scan
- * still walks every island on every worker pass while the ready queue
- * touches only woken ones. Idle islands have no declared edges, so
- * their clocks jump to the round limit in one step — their entire cost
- * is whatever the scheduler spends discovering they are done.
+ * only a small fraction of islands is runnable in any window. Idle
+ * islands have no declared edges, so each is its own component whose
+ * round-start bound lies past every round limit: it finishes at
+ * dispatch and is never run — its entire cost is the dispatch loop.
  *
- * sched=ready at islands=1024 is the row the CI gate
- * watches: its jobs=4 cell must beat the jobs=1 reference
- * (speedup_vs_seq >= 1.0 in check_bench_regression.py), and its
- * ns_per_item trend is recorded in BENCH_simcore.json next to scan's
- * for the ready-vs-scan comparison.
+ * islands=1024 is the row the CI gate watches: its jobs=4 cell must
+ * beat the jobs=1 reference (speedup_vs_seq >= 1.0 in
+ * check_bench_regression.py), and its ns_per_item trend is recorded in
+ * BENCH_simcore.json.
  */
 
 #include "suite.hh"
@@ -168,24 +168,22 @@ struct PingAgent : ShardedKernel::BarrierAgent
 };
 
 ScaleResult
-runScaleTrial(std::size_t islands, unsigned jobs, ScheduleMode mode,
-              StealPolicy policy, std::uint64_t seed)
+runScaleTrial(std::size_t islands, unsigned jobs, std::uint64_t seed)
 {
     // 32 pairs regardless of topology size: at 64 islands every island
-    // is busy, at 1024 only 6% are — the scan-vs-ready separation
-    // grows with the axis while the event count (and thus
-    // ns_per_item's denominator) stays constant.
+    // is busy, at 1024 only 6% are — the idle share grows with the axis
+    // while the event count (and thus ns_per_item's denominator) stays
+    // constant.
     constexpr std::uint32_t kPairs = 32;
     constexpr std::uint32_t kHops = 384;
     constexpr unsigned kWorkIters = 400;
 
-    ShardedKernel kernel(Time::us(1), jobs, mode);
-    kernel.setStealPolicy(policy);
+    ShardedKernel kernel(Time::us(1), jobs);
     for (std::size_t i = 0; i < islands; ++i)
         kernel.addIsland();
-    // Pairs spread evenly so static's contiguous worker blocks stay
-    // balanced; only pair members get edges — idle islands have no
-    // in-neighbors (infinite safe horizon, one clock jump per round).
+    // Pairs spread evenly over the islands; only pair members get
+    // edges — idle islands have no in-neighbors and form their own
+    // components.
     std::vector<std::size_t> partner(islands, 0);
     std::vector<std::size_t> left(kPairs);
     for (std::uint32_t p = 0; p < kPairs; ++p) {
@@ -273,8 +271,7 @@ registerScaleSmoke(exp::Registry& registry)
                        axisFromEnv("IBSIM_SCALE_ISLANDS",
                                    {64.0, 256.0, 1024.0}),
                        0)
-                 .axis("sched", std::vector<std::string>{"static", "scan",
-                                                         "ready"})
+                 .axis("sched", std::vector<std::string>{"ready"})
                  .axis("jobs",
                        axisFromEnv("IBSIM_SCALE_JOBS", {1.0, 4.0}), 0);
 
@@ -285,15 +282,8 @@ registerScaleSmoke(exp::Registry& registry)
                          static_cast<std::size_t>(cell.num("islands"));
                      const auto jobs =
                          static_cast<unsigned>(cell.num("jobs"));
-                     const std::size_t sched = cell.valueIndex("sched");
-                     const ScheduleMode mode =
-                         sched == 0 ? ScheduleMode::Static
-                                    : ScheduleMode::Stealing;
-                     const StealPolicy policy =
-                         sched == 1 ? StealPolicy::ScanLegacy
-                                    : StealPolicy::ReadyQueue;
-                     const ScaleResult r = runScaleTrial(
-                         islands, jobs, mode, policy, seed);
+                     const ScaleResult r =
+                         runScaleTrial(islands, jobs, seed);
                      const double perEvent =
                          r.events > 0
                              ? r.wallNs / static_cast<double>(r.events)
@@ -331,11 +321,10 @@ registerScaleSmoke(exp::Registry& registry)
                  "Raw ShardedKernel, no RNIC datapath: 32 island pairs "
                  "ping-ponging a message,\none lookahead per hop with a "
                  "fixed compute grain per event; islands without "
-                 "a\npair are idle. sched=scan is the round-two "
-                 "O(islands) claim scan kept as a\nreference; "
-                 "sched=ready is the sharded ready queue. At "
-                 "islands=1024 the ready\nrows are the CI scalability "
-                 "gate (jobs=4 must beat jobs=1).");
+                 "a\npair are idle. sched=ready is the component "
+                 "scheduler (each pair runs whole on\none worker per "
+                 "round). At islands=1024 the rows are the CI "
+                 "scalability\ngate (jobs=4 must beat jobs=1).");
          }});
 }
 

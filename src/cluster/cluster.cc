@@ -19,9 +19,7 @@ Cluster::Cluster(rnic::DeviceProfile profile, std::size_t node_count,
         // per-packet overhead; serialization and chaos delays only push
         // that later, so latency + overhead is a sound lower bound.
         const Time lookahead = link.latency + link.perPacketOverhead;
-        kernel_ = std::make_unique<ShardedKernel>(lookahead, options.jobs,
-                                                  options.scheduleMode);
-        kernel_->setStealPolicy(options.stealPolicy);
+        kernel_ = std::make_unique<ShardedKernel>(lookahead, options.jobs);
         fabric_.enableSharding(*kernel_);
     }
     for (std::size_t i = 0; i < node_count; ++i)

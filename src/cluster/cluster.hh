@@ -41,29 +41,21 @@ namespace ibsim {
  * ShardedKernel with conservative lookahead = link latency + per-packet
  * overhead (the minimum time any packet needs to cross islands). Every
  * island gets its own SeedStream-forked RNG, wire-id space and packet
- * pool, so a run is deterministic for a fixed seed at ANY worker count
- * and ANY ScheduleMode: jobs = 1 (inline, no threads) through jobs = N,
- * Static or Stealing, produce bit-identical trace hashes, per-QP stats
- * and oracle verdicts. Island mode is its own deterministic mode — not a
- * bit-replay of the single-queue schedule.
+ * pool, so a run is deterministic for a fixed seed at ANY worker count:
+ * jobs = 1 (inline, no threads) through jobs = N produce bit-identical
+ * trace hashes, per-QP stats and oracle verdicts. Island mode is its own
+ * deterministic mode — not a bit-replay of the single-queue schedule.
  */
 struct ClusterOptions
 {
     /** One island per node on a ShardedKernel. */
     bool sharded = false;
 
-    /** Worker threads for the sharded kernel (clamped to node count). */
+    /** Worker threads for the sharded kernel (clamped to node count).
+     * Each round, every connected component of the QP-connection graph
+     * runs whole on one worker, so the usable parallelism is the number
+     * of live components. */
     unsigned jobs = 1;
-
-    /** Who executes which island (content is mode-invariant): Stealing
-     * lets idle workers claim hot islands at window granularity, Static
-     * pins contiguous island blocks per worker (the PR-6 fallback). */
-    ScheduleMode scheduleMode = ScheduleMode::Stealing;
-
-    /** How Stealing finds runnable islands: the sharded ready queue
-     * (default) or the round-two O(islands) claim scan (kept as a
-     * bench/differential reference; content is policy-invariant). */
-    StealPolicy stealPolicy = StealPolicy::ReadyQueue;
 };
 
 /**

@@ -182,9 +182,14 @@ Fabric::send(Packet pkt)
     }
 
     if (hook_ != nullptr) {
-        std::vector<FaultHook::Delivery> out;
+        // Reuse one scratch vector instead of allocating per packet. It
+        // is taken out of the member while in use, so a delivery that
+        // re-enters send() gets a fresh vector rather than this one.
+        std::vector<FaultHook::Delivery> out = std::move(hookOut_);
+        out.clear();
         hook_->processPacket(pkt, events_.now(), out);
         if (out.empty()) {
+            hookOut_ = std::move(out);
             ++totalDropped_;
             for (const auto& tap : taps_)
                 tap(pkt, true);
@@ -203,6 +208,7 @@ Fabric::send(Packet pkt)
             out[i].pkt.sentAt = events_.now();
             deliver(std::move(out[i].pkt), out[i].extraDelay + detour);
         }
+        hookOut_ = std::move(out);
         return id;
     }
 
@@ -367,9 +373,12 @@ Fabric::sendSharded(Packet pkt)
     }
 
     if (lane.hook != nullptr) {
-        std::vector<FaultHook::Delivery> out;
+        // The lane's scratch vector, taken out while in use (see send()).
+        std::vector<FaultHook::Delivery> out = std::move(lane.hookOut);
+        out.clear();
         lane.hook->processPacket(pkt, lane.events->now(), out);
         if (out.empty()) {
+            lane.hookOut = std::move(out);
             ++lane.dropped;
             for (const auto& tap : taps_)
                 tap(pkt, true);
@@ -391,6 +400,7 @@ Fabric::sendSharded(Packet pkt)
             deliverSharded(laneIndex, std::move(out[i].pkt),
                            out[i].extraDelay + detour);
         }
+        lane.hookOut = std::move(out);
         return id;
     }
 

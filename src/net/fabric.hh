@@ -397,6 +397,7 @@ class Fabric : public ShardedKernel::BarrierAgent
          * CrossChannel holds a mutex and must never move). */
         std::deque<CrossChannel<Parcel>> out;
         std::vector<Parcel> inbox;  ///< drain merge scratch
+        std::vector<FaultHook::Delivery> hookOut;  ///< fault-hook scratch
     };
 
     std::uint64_t sendSharded(Packet pkt);
@@ -431,6 +432,7 @@ class Fabric : public ShardedKernel::BarrierAgent
     std::vector<PortRecord> ports_;
     std::unique_ptr<LossModel> loss_;
     FaultHook* hook_ = nullptr;
+    std::vector<FaultHook::Delivery> hookOut_;  ///< fault-hook scratch
     /**
      * In-flight packets parked between send() and delivery. Delivery
      * callbacks capture only the slot index, so they stay within the

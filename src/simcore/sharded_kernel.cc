@@ -20,9 +20,8 @@ elapsedNs(std::chrono::steady_clock::time_point from,
 
 } // namespace
 
-ShardedKernel::ShardedKernel(Time lookahead, unsigned jobs,
-                             ScheduleMode mode)
-    : lookahead_(lookahead), jobs_(std::max(1u, jobs)), mode_(mode)
+ShardedKernel::ShardedKernel(Time lookahead, unsigned jobs)
+    : lookahead_(lookahead), jobs_(std::max(1u, jobs))
 {
     assert(lookahead_ > Time() && "lookahead must be positive");
 }
@@ -190,6 +189,37 @@ ShardedKernel::rebuildNeighbors()
             }
         }
     }
+
+    // Connected components, edges taken both ways: a search from each
+    // still-unassigned island in index order, so numbering and member
+    // order depend on the graph alone.
+    constexpr std::uint32_t kNone = 0xffffffffu;
+    std::vector<std::uint32_t> compOf(n, kNone);
+    std::vector<std::uint32_t> stack;
+    components_.clear();
+    for (std::size_t root = 0; root < n; ++root) {
+        if (compOf[root] != kNone)
+            continue;
+        const auto c = static_cast<std::uint32_t>(components_.size());
+        std::vector<std::uint32_t>& members = components_.emplace_back();
+        compOf[root] = c;
+        stack.push_back(static_cast<std::uint32_t>(root));
+        while (!stack.empty()) {
+            const std::uint32_t i = stack.back();
+            stack.pop_back();
+            members.push_back(i);
+            const Island& is = islands_[i];
+            for (const auto* nbrs : {&is.inNbr, &is.outNbr}) {
+                for (std::uint32_t j : *nbrs) {
+                    if (compOf[j] == kNone) {
+                        compOf[j] = c;
+                        stack.push_back(j);
+                    }
+                }
+            }
+        }
+        std::sort(members.begin(), members.end());
+    }
 }
 
 void
@@ -202,10 +232,8 @@ ShardedKernel::startWorkers()
         jobs_, std::max<std::size_t>(1, islands_.size())));
     rebuildNeighbors();
     lb_.assign(islands_.size(), 0);
-    for (unsigned w = 0; w < jobs_; ++w) {
+    for (unsigned w = 0; w < jobs_; ++w)
         workers_.emplace_back();
-        ready_.emplace_back();
-    }
     for (unsigned w = 1; w < jobs_; ++w)
         workers_[w].thread = std::thread([this, w] { workerLoop(w); });
 }
@@ -223,10 +251,8 @@ ShardedKernel::safeHorizon(const Island& is) const
     if (is.inNbr.empty())
         return Time::max();
     std::int64_t m = Time::max().toNs();
-    for (std::uint32_t nbr : is.inNbr) {
-        m = std::min(m,
-                     islands_[nbr].done.load(std::memory_order_acquire));
-    }
+    for (std::uint32_t nbr : is.inNbr)
+        m = std::min(m, islands_[nbr].done);
     if (m >= Time::max().toNs() - lookahead_.toNs())
         return Time::max();
     return Time::fromNs(m + lookahead_.toNs());
@@ -241,29 +267,23 @@ ShardedKernel::inboundEarliest(std::size_t i) const
     return earliest;
 }
 
-ShardedKernel::Step
-ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
+bool
+ShardedKernel::stepIsland(std::size_t i, Time round_limit)
 {
     Island& is = islands_[i];
     EventQueue& q = *is.queue;
-    const std::int64_t l = lookahead_.toNs();
-    bool advanced = false;
     for (;;) {
-        Time done = Time::fromNs(is.done.load(std::memory_order_relaxed));
+        const Time done = Time::fromNs(is.done);
         // Dispatch starts a live island below its bound <= round_limit,
-        // and every publish at round_limit also finishes the round.
+        // and every clock move to round_limit also finishes the round.
         assert(done < round_limit);
 
-        // Read the in-neighbor clocks BEFORE probing channels: a clock
-        // published at c guarantees (release/acquire) that every item
-        // with effect <= c + lookahead is visible, so probing after the
-        // clock read can never miss work the horizon permits consuming.
         const Time safe = safeHorizon(is);
         const Time next =
             std::min(q.nextEventTime(), inboundEarliest(i));
 
         if (next > round_limit) {
-            // Nothing to execute this round: publish clock up to the
+            // Nothing to execute this round: move the clock up to the
             // horizon (the null-message leapfrog that unblocks
             // downstream islands) and finish the round when possible.
             const Time target = std::min(round_limit, safe);
@@ -271,20 +291,12 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
                 is.maxLagNs = std::max(
                     is.maxLagNs, static_cast<std::uint64_t>(
                                      (round_limit - safe).toNs()));
-                // Unblocks once the min in-neighbor clock passes
-                // done - L (safeHorizon > done).
-                is.wakeAt.store(done.toNs() - l + 1,
-                                std::memory_order_relaxed);
-                return advanced ? Step::Advanced : Step::Blocked;
+                return false;
             }
-            is.done.store(target.toNs(), std::memory_order_release);
-            if (useReady_)
-                wakeOutNeighbors(worker, i, target.toNs());
-            advanced = true;
+            is.done = target.toNs();
             if (target == round_limit) {
-                is.roundDone.store(true, std::memory_order_relaxed);
-                doneCount_.fetch_add(1, std::memory_order_release);
-                return Step::RoundDone;
+                is.roundDone = true;
+                return true;
             }
             continue;
         }
@@ -301,43 +313,26 @@ ShardedKernel::stepIsland(unsigned worker, std::size_t i, Time round_limit)
                 is.maxLagNs = std::max(
                     is.maxLagNs,
                     static_cast<std::uint64_t>((runLimit - safe).toNs()));
-                // Unblocks once the window is safe (min in-neighbor
-                // clock >= runLimit - L).
-                is.wakeAt.store(runLimit.toNs() - l,
-                                std::memory_order_relaxed);
-                return advanced ? Step::Advanced : Step::Blocked;
+                return false;
             }
-            is.done.store(target.toNs(), std::memory_order_release);
-            if (useReady_)
-                wakeOutNeighbors(worker, i, target.toNs());
-            advanced = true;
+            is.done = target.toNs();
             continue;
         }
 
-        // The drain token reads dirty under this island's claim, so
-        // marking before the window's pushes keeps "clean" an honest
-        // "no activity since the last visit".
-        is.dirty.store(true, std::memory_order_relaxed);
         std::uint64_t parcels = 0;
         for (BarrierAgent* agent : agents_)
             parcels += agent->flushInbound(i, done, runLimit);
         is.parcels += parcels;
         q.run(runLimit);
         q.syncClock(runLimit);
-        is.done.store(runLimit.toNs(), std::memory_order_release);
-        if (useReady_)
-            wakeOutNeighbors(worker, i, runLimit.toNs());
+        is.done = runLimit.toNs();
         ++is.windows;
-        if (jobs_ == 1)
-            ++seqWindowsRound_;
         if (!is.trig.empty() &&
             trigArmed_.load(std::memory_order_relaxed))
             noteTriggers(is);
-        advanced = true;
         if (runLimit == round_limit) {
-            is.roundDone.store(true, std::memory_order_relaxed);
-            doneCount_.fetch_add(1, std::memory_order_release);
-            return Step::RoundDone;
+            is.roundDone = true;
+            return true;
         }
     }
 }
@@ -360,319 +355,78 @@ ShardedKernel::noteTriggers(Island& is)
 }
 
 void
-ShardedKernel::workerRound(unsigned worker)
+ShardedKernel::runComponent(std::uint32_t c)
 {
-    if (useReady_)
-        workerRoundReady(worker);
-    else
-        workerRoundScan(worker);
-}
-
-void
-ShardedKernel::workerRoundScan(unsigned worker)
-{
-    using clock = std::chrono::steady_clock;
-    const auto roundStart = clock::now();
-    std::uint64_t busy = 0;
-    const std::size_t n = islands_.size();
-    const bool stealing = mode_ == ScheduleMode::Stealing && jobs_ > 1;
-
-    // Static mode: a fixed contiguous block (keeps neighboring islands —
-    // e.g. the flood bench's client/server pairs — on one worker).
-    // Stealing mode: scan every island, starting at this worker's block
-    // so workers spread out before they collide on claims.
-    std::size_t lo = static_cast<std::size_t>(worker) * n / jobs_;
-    std::size_t hi = stealing
-                         ? lo + n
-                         : static_cast<std::size_t>(worker + 1) * n / jobs_;
-
+    // The sequential island scan, restricted to one component: every
+    // in-neighbor of a member is a member, so the scan needs no other
+    // island's clock and always has an island that can move (the one
+    // holding the component's minimal clock).
+    const std::vector<std::uint32_t>& members = components_[c];
+    std::size_t left = 0;
+    for (std::uint32_t i : members)
+        left += islands_[i].roundDone ? 0 : 1;
     for (;;) {
-        if (roundAbort_.load(std::memory_order_acquire))
-            break;
-        bool progress = false;
-        const std::uint64_t windowsBefore = seqWindowsRound_;
-        for (std::size_t s = lo; s < hi; ++s) {
-            const std::size_t i = stealing ? s % n : s;
+        bool ranWindow = false;
+        for (std::uint32_t i : members) {
             Island& is = islands_[i];
-            if (is.roundDone.load(std::memory_order_relaxed))
+            if (is.roundDone)
                 continue;
-            if (stealing) {
-                std::uint8_t expect = 0;
-                if (!is.claim.compare_exchange_strong(
-                        expect, 1, std::memory_order_acquire,
-                        std::memory_order_relaxed))
-                    continue;
-                if (is.roundDone.load(std::memory_order_relaxed)) {
-                    is.claim.store(0, std::memory_order_release);
-                    continue;
-                }
-                const auto t0 = clock::now();
-                const Step step = stepIsland(worker, i, roundLimit_);
-                if (step != Step::Blocked) {
-                    busy += elapsedNs(t0, clock::now());
-                    progress = true;
-                    if (is.lastWorker != kNoWorker &&
-                        is.lastWorker != worker)
-                        steals_.fetch_add(1, std::memory_order_relaxed);
-                    is.lastWorker = worker;
-                }
-                is.claim.store(0, std::memory_order_release);
-            } else {
-                const auto t0 = clock::now();
-                const Step step = stepIsland(worker, i, roundLimit_);
-                if (step != Step::Blocked) {
-                    busy += elapsedNs(t0, clock::now());
-                    progress = true;
-                }
-            }
+            const std::uint64_t windowsBefore = is.windows;
+            if (stepIsland(i, roundLimit_))
+                --left;
+            ranWindow = ranWindow || is.windows != windowsBefore;
         }
-        if (doneCount_.load(std::memory_order_acquire) >= n)
-            break;
-        if (jobs_ == 1) {
-            // Sequential drain probe: a pass that advanced clocks but
-            // executed no window is the pure-leapfrog drain tail — cut
-            // it the moment nothing at or below the round limit
-            // remains (no races to worry about inline).
-            if (seqWindowsRound_ == windowsBefore &&
-                allQuietBelow(roundLimit_)) {
-                drainAborts_.fetch_add(1, std::memory_order_relaxed);
-                roundAbort_.store(true, std::memory_order_relaxed);
-                break;
-            }
-        } else if (stealing && !progress) {
-            if (tryTokenPass())
-                break;
+        if (left == 0)
+            return;
+        // Drain probe: a pass that only moved clocks, with nothing left
+        // at or below the round limit, is the pure-leapfrog tail — cut
+        // it. The component runs on one worker from state only that
+        // worker touches, so the cut is part of the reproducible
+        // schedule at any jobs count.
+        if (!ranWindow && componentQuietBelow(c, roundLimit_)) {
+            drainAborts_.fetch_add(1, std::memory_order_relaxed);
+            return;
         }
-        if (!progress)
-            std::this_thread::yield();
     }
-
-    Worker& me = workers_[worker];
-    me.busyNs += busy;
-    me.totalNs += elapsedNs(roundStart, clock::now());
-}
-
-void
-ShardedKernel::pushReady(unsigned worker, std::uint32_t island)
-{
-    ReadyShard& shard = ready_[worker];
-    std::lock_guard<std::mutex> lock(shard.m);
-    shard.q.push_back(island);
-    shard.maxDepth = std::max<std::uint64_t>(shard.maxDepth,
-                                             shard.q.size());
 }
 
 bool
-ShardedKernel::popReady(unsigned worker, std::uint32_t& island)
+ShardedKernel::componentQuietBelow(std::uint32_t c, Time t) const
 {
-    {
-        // Own shard: LIFO — the most recently woken island's channel
-        // state is the hottest in this worker's cache.
-        ReadyShard& own = ready_[worker];
-        std::lock_guard<std::mutex> lock(own.m);
-        if (!own.q.empty()) {
-            island = own.q.back();
-            own.q.pop_back();
-            return true;
-        }
-    }
-    // Steal FIFO from the other shards (oldest entry = the one most
-    // likely to have accumulated runnable windows).
-    for (unsigned k = 1; k < jobs_; ++k) {
-        ReadyShard& other = ready_[(worker + k) % jobs_];
-        std::lock_guard<std::mutex> lock(other.m);
-        if (!other.q.empty()) {
-            island = other.q.front();
-            other.q.pop_front();
-            return true;
-        }
-    }
-    return false;
-}
-
-std::int64_t
-ShardedKernel::minInNeighborClockNs(const Island& is) const
-{
-    std::int64_t m = Time::max().toNs();
-    for (std::uint32_t nbr : is.inNbr) {
-        m = std::min(m,
-                     islands_[nbr].done.load(std::memory_order_acquire));
-    }
-    return m;
-}
-
-void
-ShardedKernel::wakeOutNeighbors(unsigned worker, std::size_t i,
-                                std::int64_t clock_ns)
-{
-    // Publisher side of the block-vs-wake handshake: clock store, then
-    // a full fence, then the sched reads — pairs with the blocker's
-    // Blocked store / fence / clock re-read (blockIsland()), so one of
-    // the two sides always observes the other.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    for (std::uint32_t o : islands_[i].outNbr) {
-        Island& t = islands_[o];
-        if (t.sched.load(std::memory_order_relaxed) != kSchedBlocked)
-            continue;
-        if (clock_ns < t.wakeAt.load(std::memory_order_relaxed))
-            continue;  // our clock alone cannot have unblocked it
-        std::uint8_t expect = kSchedBlocked;
-        if (t.sched.compare_exchange_strong(expect, kSchedReady,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed))
-            pushReady(worker, o);
-    }
-}
-
-void
-ShardedKernel::blockIsland(unsigned worker, std::uint32_t island)
-{
-    Island& is = islands_[island];
-    // stepIsland stored wakeAt before returning Blocked.
-    is.sched.store(kSchedBlocked, std::memory_order_release);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // Close the lost-wakeup window: a neighbor may have crossed the
-    // threshold between our block decision and the Blocked store.
-    if (minInNeighborClockNs(is) >=
-        is.wakeAt.load(std::memory_order_relaxed)) {
-        std::uint8_t expect = kSchedBlocked;
-        if (is.sched.compare_exchange_strong(expect, kSchedReady,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_relaxed))
-            pushReady(worker, island);
-    }
-}
-
-void
-ShardedKernel::workerRoundReady(unsigned worker)
-{
-    using clock = std::chrono::steady_clock;
-    const auto roundStart = clock::now();
-    std::uint64_t busy = 0;
-    const std::size_t n = islands_.size();
-
-    // progress = some pop advanced an island since the last idle
-    // rescan; without it the worker yields before rescanning again
-    // (the rescan itself re-enqueues still-blocked islands, so it must
-    // not count as progress or an idle pair of workers would spin).
-    bool progress = false;
-    for (;;) {
-        if (roundAbort_.load(std::memory_order_acquire))
-            break;
-        std::uint32_t idx;
-        if (popReady(worker, idx)) {
-            Island& is = islands_[idx];
-            std::uint8_t expect = 0;
-            if (!is.claim.compare_exchange_strong(
-                    expect, 1, std::memory_order_acquire,
-                    std::memory_order_relaxed)) {
-                // The drain token is inspecting it; hand it back.
-                pushReady(worker, idx);
-                std::this_thread::yield();
-                continue;
-            }
-            is.sched.store(kSchedRunning, std::memory_order_relaxed);
-            const auto t0 = clock::now();
-            const Step step = stepIsland(worker, idx, roundLimit_);
-            if (step != Step::Blocked) {
-                busy += elapsedNs(t0, clock::now());
-                progress = true;
-                if (is.lastWorker != kNoWorker && is.lastWorker != worker)
-                    steals_.fetch_add(1, std::memory_order_relaxed);
-                is.lastWorker = worker;
-            }
-            if (step == Step::RoundDone) {
-                is.sched.store(kSchedDone, std::memory_order_relaxed);
-                is.claim.store(0, std::memory_order_release);
-            } else {
-                is.claim.store(0, std::memory_order_release);
-                blockIsland(worker, idx);
-            }
-            continue;
-        }
-        if (doneCount_.load(std::memory_order_acquire) >= n)
-            break;
-        // Idle: advance the drain token, then the wake-miss safety net
-        // — re-enqueue every still-blocked island (covers dense-island
-        // wakes, which are deliberately not fanned out per publish, and
-        // inbound work that arrived below a stale wake threshold).
-        if (tryTokenPass())
-            break;
-        if (!progress)
-            std::this_thread::yield();
-        progress = false;
-        for (std::size_t i = 0; i < n; ++i) {
-            Island& is = islands_[i];
-            if (is.sched.load(std::memory_order_relaxed) != kSchedBlocked)
-                continue;
-            std::uint8_t expect = kSchedBlocked;
-            if (is.sched.compare_exchange_strong(expect, kSchedReady,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_relaxed))
-                pushReady(worker, static_cast<std::uint32_t>(i));
-        }
-    }
-
-    Worker& me = workers_[worker];
-    me.busyNs += busy;
-    me.totalNs += elapsedNs(roundStart, clock::now());
-}
-
-bool
-ShardedKernel::tryTokenPass()
-{
-    if (roundAbort_.load(std::memory_order_acquire))
-        return true;
-    if (!useToken_)
-        return false;
-    if (tokenBusy_.exchange(true, std::memory_order_acquire))
-        return false;  // another worker is carrying the token
-    const std::size_t n = islands_.size();
-    // Two consecutive fully-clean circuits prove the round tail empty:
-    // a single circuit can miss an island that pushed *after* its
-    // visit, but the pusher's dirty flag survives into the next
-    // circuit (DESIGN.md §12.c has the induction).
-    const std::uint32_t needed = static_cast<std::uint32_t>(2 * n);
-    for (std::size_t visits = 0; visits < n && tokenClean_ < needed;
-         ++visits) {
-        Island& is = islands_[tokenPos_];
-        std::uint8_t expect = 0;
-        if (!is.claim.compare_exchange_strong(expect, 1,
-                                              std::memory_order_acquire,
-                                              std::memory_order_relaxed)) {
-            // Someone is executing it — activity; retry here later.
-            tokenClean_ = 0;
-            break;
-        }
-        bool clean = !is.dirty.exchange(false, std::memory_order_acq_rel);
-        if (clean)
-            clean = is.queue->nextEventTime() > roundLimit_;
-        if (clean)
-            clean = inboundEarliest(tokenPos_) > roundLimit_;
-        is.claim.store(0, std::memory_order_release);
-        tokenClean_ = clean ? tokenClean_ + 1 : 0;
-        tokenPos_ = (tokenPos_ + 1) % static_cast<std::uint32_t>(n);
-    }
-    bool fired = false;
-    if (tokenClean_ >= needed) {
-        fired = true;
-        drainAborts_.fetch_add(1, std::memory_order_relaxed);
-        roundAbort_.store(true, std::memory_order_release);
-    }
-    tokenBusy_.store(false, std::memory_order_release);
-    return fired;
-}
-
-bool
-ShardedKernel::allQuietBelow(Time t) const
-{
-    for (std::size_t i = 0; i < islands_.size(); ++i) {
+    for (std::uint32_t i : components_[c]) {
         if (islands_[i].queue->nextEventTime() <= t)
             return false;
         if (inboundEarliest(i) <= t)
             return false;
     }
     return true;
+}
+
+void
+ShardedKernel::workerRound(unsigned worker)
+{
+    using clock = std::chrono::steady_clock;
+    const auto roundStart = clock::now();
+    std::uint64_t busy = 0;
+    // Own slice first (k = 0), so a component keeps its core from round
+    // to round; then steal whole components from the other slices.
+    for (unsigned k = 0; k < jobs_; ++k) {
+        Worker& home = workers_[(worker + k) % jobs_];
+        for (;;) {
+            const std::size_t at =
+                home.next.fetch_add(1, std::memory_order_relaxed);
+            if (at >= home.slice.size())
+                break;
+            const auto t0 = clock::now();
+            runComponent(home.slice[at]);
+            busy += elapsedNs(t0, clock::now());
+            if (k != 0)
+                steals_.fetch_add(1, std::memory_order_relaxed);
+        }
+    }
+    Worker& me = workers_[worker];
+    me.busyNs += busy;
+    me.totalNs += elapsedNs(roundStart, clock::now());
 }
 
 void
@@ -701,53 +455,43 @@ void
 ShardedKernel::dispatchRound(Time round_limit)
 {
     roundLimit_ = round_limit;
-    roundAbort_.store(false, std::memory_order_relaxed);
-    tokenPos_ = 0;
-    tokenClean_ = 0;
-    seqWindowsRound_ = 0;
-    const std::size_t n = islands_.size();
-    if (useReady_) {
-        for (unsigned w = 0; w < jobs_; ++w)
-            ready_[w].q.clear();
+    for (Worker& w : workers_) {
+        w.slice.clear();
+        w.next.store(0, std::memory_order_relaxed);
     }
-    std::size_t idle = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        Island& is = islands_[i];
-        is.dirty.store(false, std::memory_order_relaxed);
-        if (lb_[i] > round_limit.toNs()) {
-            // Nothing can reach this island before the round limit: it
-            // finishes the round here, never queued or scanned.
-            is.done.store(round_limit.toNs(), std::memory_order_relaxed);
-            is.roundDone.store(true, std::memory_order_relaxed);
-            is.sched.store(kSchedDone, std::memory_order_relaxed);
-            ++idle;
-            continue;
+    std::size_t liveComponents = 0;
+    for (std::uint32_t c = 0; c < components_.size(); ++c) {
+        bool live = false;
+        for (std::uint32_t i : components_[c]) {
+            Island& is = islands_[i];
+            if (lb_[i] > round_limit.toNs()) {
+                // Nothing can reach this island before the round limit:
+                // it finishes the round here and is never scanned.
+                is.done = round_limit.toNs();
+                is.roundDone = true;
+                ++idleIslandRounds_;
+                continue;
+            }
+            // One below the bound: an item landing exactly on it still
+            // executes — also when the round limit equals the
+            // synchronized clock (run(now()) with an event at now(),
+            // EventQueue::run()'s events-at-limit-run semantics).
+            is.done = lb_[i] - 1;
+            is.roundDone = false;
+            live = true;
         }
-        // One below the bound: an item landing exactly on it still
-        // executes — also when the round limit equals the synchronized
-        // clock (run(now()) with an event at now(), EventQueue::run()'s
-        // events-at-limit-run semantics).
-        is.done.store(lb_[i] - 1, std::memory_order_relaxed);
-        is.roundDone.store(false, std::memory_order_relaxed);
-        if (useReady_) {
-            // Seed each worker's shard with its static block — the same
-            // spread Static mode pins, so the first pops have affinity
-            // and workers fan out before the first steal.
-            is.sched.store(kSchedReady, std::memory_order_relaxed);
-            const unsigned owner = static_cast<unsigned>(
-                i * static_cast<std::size_t>(jobs_) / n);
-            ready_[owner].q.push_back(static_cast<std::uint32_t>(i));
+        if (live) {
+            workers_[c % jobs_].slice.push_back(c);
+            ++liveComponents;
         }
     }
-    if (useReady_) {
-        for (unsigned w = 0; w < jobs_; ++w) {
-            ready_[w].maxDepth = std::max<std::uint64_t>(
-                ready_[w].maxDepth, ready_[w].q.size());
-        }
-    }
-    idleIslandRounds_ += idle;
-    doneCount_.store(idle, std::memory_order_relaxed);
-    if (jobs_ <= 1) {
+    liveComponentRounds_ += liveComponents;
+    for (Worker& w : workers_)
+        w.maxSlice = std::max<std::uint64_t>(w.maxSlice, w.slice.size());
+    if (jobs_ <= 1 || liveComponents <= 1) {
+        // No pool, or nothing to share: run the round here. Waking the
+        // pool for one component would cost a wake-up and park per
+        // round and move it to whichever worker grabbed it first.
         workerRound(0);
         return;
     }
@@ -841,9 +585,6 @@ ShardedKernel::runCore(Time limit, const std::function<bool()>* pred,
                        bool* pred_hit)
 {
     startWorkers();
-    useReady_ = mode_ == ScheduleMode::Stealing && jobs_ > 1 &&
-                stealPolicy_ == StealPolicy::ReadyQueue;
-    useToken_ = mode_ == ScheduleMode::Stealing && jobs_ > 1;
     const bool trig = trigArmed_.load(std::memory_order_relaxed);
     // Adaptive rounds apply only to predicate-free runs: for
     // runUntil()/runUntilTriggered() the round boundary *is* the stop
@@ -891,10 +632,6 @@ ShardedKernel::runCore(Time limit, const std::function<bool()>* pred,
         relaxBounds(roundLimit);
         dispatchRound(roundLimit);
         ++rounds_;
-        // A token abort is sound only when nothing at or below the
-        // round limit was skipped; the quiesced re-check is free here.
-        assert(!roundAbort_.load(std::memory_order_relaxed) ||
-               allQuietBelow(roundLimit));
         if (adaptive) {
             // Every completed busy round doubles the next one (capped):
             // long predicate-free drains quiesce O(log) instead of
@@ -984,10 +721,10 @@ ShardedKernel::kernelStats() const
     s.drainAborts = drainAborts_.load(std::memory_order_relaxed);
     s.roundsSkipped = roundsSkipped_;
     s.idleIslandRounds = idleIslandRounds_;
-    for (const ReadyShard& shard : ready_) {
-        s.maxReadyQueueDepth =
-            std::max(s.maxReadyQueueDepth, shard.maxDepth);
-    }
+    s.components = components_.size();
+    s.liveComponentRounds = liveComponentRounds_;
+    for (const Worker& w : workers_)
+        s.maxReadyQueueDepth = std::max(s.maxReadyQueueDepth, w.maxSlice);
 
     // Aggregate per *logical* island: a split node's planes fold into
     // one entry (the machine they model), and logical ids that no

@@ -8,7 +8,7 @@
  * through per-(src, dst) channels that BarrierAgents (the Fabric, the
  * InvariantMonitor) drain in canonical (timestamp, wire-id) order, which
  * makes the execution deterministic for a fixed seed regardless of the
- * worker count or schedule mode.
+ * worker count.
  *
  * Synchronization is pairwise, not global. Every island publishes a
  * channel clock — the virtual time it has fully executed and flushed
@@ -25,41 +25,40 @@
  * virtual state — the determinism backbone (DESIGN.md §12.b).
  *
  * Execution is batched into *rounds* of windowsPerRound() grid windows.
- * Inside a round islands run fully asynchronously under the channel-clock
- * constraint; between rounds the kernel quiesces once to check
- * runUntil() predicates, detect drain, and jump over idle gaps to the
- * globally earliest pending work. Two schedule modes pick who executes
- * which island: ScheduleMode::Static pins contiguous island blocks to
- * workers (the PR-6 style fallback), ScheduleMode::Stealing lets any
- * idle worker claim any runnable island at window granularity via an
- * atomic per-island claim (a steal is a claim by a different worker than
- * the previous one). Claims only decide *who* executes; *what* each
- * island executes per window is schedule-independent, so trace hashes,
- * stats and oracle verdicts are bit-identical at any jobs count in
- * either mode. jobs = 1 runs the identical round/window algorithm inline
- * with no threads — the "sequential" reference the differential tests
- * compare against.
+ * Between rounds the kernel quiesces once to check runUntil()
+ * predicates, detect drain, and jump over idle gaps to the globally
+ * earliest pending work. Inside a round the unit of work is a connected
+ * component of the edge graph (DESIGN.md §12.e): no edge leaves a
+ * component, so nothing in it can feed or wait on an island outside it,
+ * and each live component runs its whole round on one worker with the
+ * plain sequential island scan — no per-island claims, wakes or
+ * handoffs. Live components are listed in per-worker home slices
+ * (component index mod jobs); a worker drains its own slice first, so a
+ * component keeps its core across rounds, then steals whole components
+ * from the other slices. A round with at most one live component runs
+ * inline on the coordinator without waking the pool. Which worker runs a
+ * component never changes
+ * what its islands execute, so trace hashes, stats and oracle verdicts
+ * are bit-identical at any jobs count. jobs = 1 runs the identical
+ * algorithm inline with no threads — the "sequential" reference the
+ * differential tests compare against. A dense island (or a graph with
+ * no declared edges) forms a single component, which then runs on one
+ * worker.
  *
- * Round three (DESIGN.md §12.c) makes round boundaries the exception
- * instead of the rule. Per-island *trigger counters* — monotone,
- * island-local progress counts registered via addTrigger() — are folded
- * into a global sum inside the worker pass right after each executed
- * window, so runUntilTriggered() detects satisfaction the moment the
- * crossing window retires and the quiesce check collapses to one flag
- * read (the polling runUntil() stays as the fallback for opaque
- * predicates; both stop at the same round boundary, so they are
- * bit-identical). A Safra-style *drain token* walks the islands under
- * their claim bytes and aborts the null-message leapfrog tail of a
- * round once two consecutive clean circuits prove nothing at or below
- * the round limit remains — a drained mesh stops after a handful of
- * token visits instead of creeping clock windows to the round limit.
- * The stealing scheduler's per-pass O(islands) claim scan is replaced
- * by a sharded *ready queue* (islands enqueue when an in-neighbor clock
- * publish crosses their recorded wake threshold; workers pop LIFO from
- * their own shard and steal FIFO from others), and `windowsPerRound`
- * *adapts* — predicate-free runs double the round length up to a cap,
- * purely from simulation-visible state, so long drains quiesce
- * logarithmically rather than linearly often.
+ * Round three (DESIGN.md §12.c) keeps round boundaries cheap. Per-island
+ * *trigger counters* — monotone, island-local progress counts
+ * registered via addTrigger() — are folded into a global sum right after
+ * each executed window, so runUntilTriggered() knows at the next round
+ * boundary, with one flag read, that it is satisfied (the polling
+ * runUntil() stays as the fallback for opaque predicates; both stop at
+ * the same round boundary, so they are bit-identical). A per-component
+ * *drain probe* ends a component's round early when a scan pass
+ * executed no window and nothing at or below the round limit is pending
+ * in the component's queues or channels — the null-message leapfrog
+ * tail is cut instead of crept through. `windowsPerRound` *adapts* —
+ * predicate-free runs double the round length up to a cap, purely from
+ * simulation-visible state, so long drains quiesce logarithmically
+ * rather than linearly often.
  *
  * Round starts are per island (DESIGN.md §12.d). At each quiesce the
  * kernel takes every island's earliest pending item (queue or inbound
@@ -67,12 +66,13 @@
  * per hop, into a lower bound lb_i on the first virtual time island i
  * can execute anything this round: an in-neighbor j executes nothing
  * before lb_j, so nothing it sends lands before lb_j + L. Island i
- * starts the round with its clock published at lb_i - 1 instead of the
- * round start, and an island whose bound lies past the round limit
- * starts the round finished — it is never queued or scanned. Each
- * island still executes exactly the same grid windows with the same
- * flush horizons, so results are bit-identical; only the no-op clock
- * creeps through idle windows disappear.
+ * starts the round with its clock at lb_i - 1 instead of the round
+ * start, and an island whose bound lies past the round limit starts the
+ * round finished — it is never scanned, and a component whose islands
+ * all start finished is not dispatched at all. Each island still
+ * executes exactly the same grid windows with the same flush horizons,
+ * so results are bit-identical; only the no-op clock creeps through
+ * idle windows disappear.
  *
  * What the kernel deliberately does not do: share any RNG, wire-id
  * counter or packet pool between islands (the fabric forks all three per
@@ -91,7 +91,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -100,24 +99,6 @@
 #include "simcore/time.hh"
 
 namespace ibsim {
-
-/** Who executes which island (never *what* an island executes). */
-enum class ScheduleMode : std::uint8_t
-{
-    /** Fixed contiguous island blocks per worker (PR-6 style fallback). */
-    Static,
-    /** Idle workers claim any runnable island at window granularity. */
-    Stealing,
-};
-
-/** How Stealing mode finds runnable islands (never *what* they run). */
-enum class StealPolicy : std::uint8_t
-{
-    /** Sharded ready queue: wake-driven, O(1) pops (the default). */
-    ReadyQueue,
-    /** The round-two per-pass O(islands) claim scan (bench reference). */
-    ScanLegacy,
-};
 
 /**
  * Parallel conservative-lookahead driver over N island EventQueues.
@@ -169,10 +150,8 @@ class ShardedKernel
      * @param lookahead minimum cross-island influence latency (> 0)
      * @param jobs worker count; clamped to the island count at startup,
      *        1 = run the same round/window algorithm inline, no threads
-     * @param mode who executes which island (content is mode-invariant)
      */
-    ShardedKernel(Time lookahead, unsigned jobs,
-                  ScheduleMode mode = ScheduleMode::Stealing);
+    ShardedKernel(Time lookahead, unsigned jobs);
     ~ShardedKernel();
 
     ShardedKernel(const ShardedKernel&) = delete;
@@ -186,8 +165,6 @@ class ShardedKernel
 
     /** Effective worker count (clamped once running). */
     unsigned jobs() const { return jobs_; }
-
-    ScheduleMode scheduleMode() const { return mode_; }
 
     Time lookahead() const { return lookahead_; }
 
@@ -205,7 +182,8 @@ class ShardedKernel
      * raw kernel user who never declares edges gets conservative (and
      * correct) all-pairs synchronization. Edges are normally declared at
      * setup; declaring one mid-run is allowed only while the kernel is
-     * quiesced (between run()/advance() calls). */
+     * quiesced (between run()/advance() calls); every such declaration
+     * recomputes the connected components, a round's unit of work. */
     void declareEdge(std::size_t src, std::size_t dst);
     void declareDense(std::size_t island);
     bool hasEdge(std::size_t src, std::size_t dst) const;
@@ -247,10 +225,6 @@ class ShardedKernel
     /** Adaptive round-length cap for predicate-free runs. */
     static constexpr unsigned kMaxAdaptiveWindows = 256;
 
-    /** Stealing-mode island lookup policy (content is policy-invariant). */
-    void setStealPolicy(StealPolicy policy) { stealPolicy_ = policy; }
-    StealPolicy stealPolicy() const { return stealPolicy_; }
-
     /** @{ Per-island trigger counters — the runUntil fast path.
      *
      * A trigger is a monotone (non-decreasing under simulated
@@ -265,8 +239,7 @@ class ShardedKernel
      * is exactly where the polling fallback
      * `runUntil([&]{ return sum() >= target; })` stops too: the two
      * are bit-identical, triggers just replace the O(islands) quiesce
-     * poll with one flag read and give the drain token a satisfied
-     * round tail to abort. Registration is only legal while the kernel
+     * poll with one flag read. Registration is only legal while the kernel
      * is quiesced (also *between* runs — counters re-seed per call). */
     using TriggerCount = std::function<std::uint64_t()>;
     std::size_t addTrigger(std::size_t island, TriggerCount count);
@@ -313,68 +286,59 @@ class ShardedKernel
     /**
      * Sharding observability: round/window counts, channel traffic, the
      * per-logical-island event-count spread (imbalance is what caps the
-     * parallel speedup), and scheduler behaviour. steals, maxClockLagNs,
-     * workerBusyFraction, drainAborts and maxReadyQueueDepth describe
-     * the *schedule*, which is timing-dependent — they are not part of
-     * the deterministic surface the differential tests compare
-     * (triggerExits, roundsSkipped and idleIslandRounds are
-     * deterministic).
+     * parallel speedup), and scheduler behaviour. steals,
+     * workerBusyFraction and maxReadyQueueDepth describe the *schedule*
+     * — which worker ran which component, and for how long — so they
+     * depend on timing and are not part of the deterministic surface the
+     * differential tests compare. Every other counter is a function of
+     * the simulation alone and equal at any jobs count.
      */
     struct KernelStats
     {
         std::uint64_t barriers = 0;        ///< round quiesce points
         std::uint64_t windows = 0;         ///< island-windows executed
         std::uint64_t channelParcels = 0;  ///< cross-island items flushed
-        std::uint64_t steals = 0;          ///< cross-worker island claims
+        /** Component-rounds run by a worker other than the component's
+         * home worker. */
+        std::uint64_t steals = 0;
         std::uint64_t maxClockLagNs = 0;   ///< worst blocked-island lag
         std::uint64_t triggerExits = 0;    ///< runs exited via trigger flag
-        std::uint64_t drainAborts = 0;     ///< round tails cut by the token
+        std::uint64_t drainAborts = 0;     ///< component round tails cut
         std::uint64_t roundsSkipped = 0;   ///< quiesces adaptive rounds saved
         /** Island-rounds finished at dispatch (bound past the limit). */
         std::uint64_t idleIslandRounds = 0;
-        std::uint64_t maxReadyQueueDepth = 0;  ///< deepest ready shard seen
+        /** Connected components of the edge graph (0 before any run). */
+        std::uint64_t components = 0;
+        /** Component-rounds dispatched (components with a live island). */
+        std::uint64_t liveComponentRounds = 0;
+        /** Most live components any worker's home slice held in a round. */
+        std::uint64_t maxReadyQueueDepth = 0;
         std::vector<std::uint64_t> executedPerIsland;  ///< logical islands
         std::uint64_t maxIslandExecuted = 0;
         std::uint64_t minIslandExecuted = 0;
-        std::vector<double> workerBusyFraction;  ///< per worker
+        /** Per worker: wall time inside components over its round time. */
+        std::vector<double> workerBusyFraction;
     };
 
     KernelStats kernelStats() const;
 
   private:
-    /** Outcome of one attempt to advance an island inside a round. */
-    enum class Step : std::uint8_t { Advanced, Blocked, RoundDone };
-
-    /** "No worker has executed this island yet" (steal detection). */
-    static constexpr std::uint32_t kNoWorker = 0xffffffffu;
-
-    /** @{ Ready-queue scheduling states (Island::sched). An island is
-     * in exactly one ready shard while kSchedReady (enqueue goes
-     * through a Blocked->Ready CAS, so there is a single winner). */
-    static constexpr std::uint8_t kSchedBlocked = 0;  ///< waiting on a wake
-    static constexpr std::uint8_t kSchedReady = 1;    ///< in a ready shard
-    static constexpr std::uint8_t kSchedRunning = 2;  ///< popped, executing
-    static constexpr std::uint8_t kSchedDone = 3;     ///< round finished
-    /** @} */
-
-    /** Per-island execution state. done is the published channel clock. */
+    /**
+     * Per-island execution state, touched only by the worker running the
+     * island's component this round (the epoch handshake orders rounds).
+     * done is the island's channel clock.
+     */
     struct alignas(64) Island
     {
         std::unique_ptr<EventQueue> queue;
-        std::atomic<std::int64_t> done{0};
-        std::atomic<std::uint8_t> claim{0};
-        std::atomic<bool> roundDone{false};
-        std::atomic<std::uint8_t> sched{kSchedBlocked};  ///< ready-queue state
-        std::atomic<bool> dirty{false};  ///< executed since last token visit
-        /** Min in-neighbor clock (ns) that would unblock this island. */
-        std::atomic<std::int64_t> wakeAt{0};
-        std::uint32_t lastWorker = kNoWorker;  ///< steal detection (under claim)
+        std::int64_t done = 0;
+        bool roundDone = false;
         std::vector<std::uint32_t> inNbr;  ///< in-neighbor island indices
         std::vector<std::uint32_t> outNbr;  ///< out-neighbor island indices
         std::vector<std::uint32_t> trig;  ///< indices into triggers_
-        std::uint64_t windows = 0;       ///< windows executed (under claim)
-        std::uint64_t parcels = 0;       ///< items flushed (under claim)
-        std::uint64_t maxLagNs = 0;      ///< worst blocked lag (under claim)
+        std::uint64_t windows = 0;       ///< windows executed
+        std::uint64_t parcels = 0;       ///< items flushed
+        std::uint64_t maxLagNs = 0;      ///< worst blocked lag
     };
 
     /** A monotone island-local progress counter (addTrigger()). */
@@ -386,18 +350,18 @@ class ShardedKernel
         std::uint64_t lastSeen = 0;
     };
 
-    /** One worker's shard of the ready queue (Stealing + ReadyQueue). */
-    struct alignas(64) ReadyShard
-    {
-        std::mutex m;
-        std::deque<std::uint32_t> q;
-        std::uint64_t maxDepth = 0;  ///< observability (under m)
-    };
-
-    /** Per-worker wall-clock accounting (observability only). */
+    /**
+     * One worker: its thread, its home slice of the round's live
+     * components (written by the coordinator before the round starts,
+     * claimed through `next` by the owner and by thieves alike) and its
+     * wall-clock accounting (observability only).
+     */
     struct alignas(64) Worker
     {
         std::thread thread;
+        std::vector<std::uint32_t> slice;
+        std::atomic<std::size_t> next{0};
+        std::uint64_t maxSlice = 0;
         std::uint64_t busyNs = 0;
         std::uint64_t totalNs = 0;
     };
@@ -413,44 +377,24 @@ class ShardedKernel
      * island's clock starts at lb_ - 1 (or finished, past the limit). */
     void dispatchRound(Time round_limit);
 
-    /** One worker's participation in the current round. */
+    /** One worker's participation in the current round: its own slice,
+     * then whole components stolen from the other slices. */
     void workerRound(unsigned worker);
 
-    /** The round-two scan loop (Static, jobs = 1, and ScanLegacy). */
-    void workerRoundScan(unsigned worker);
+    /** Run component @p c's round: scan its islands until all finish or
+     * the drain probe finds nothing left at or below the round limit. */
+    void runComponent(std::uint32_t c);
 
-    /** The ready-queue loop (Stealing + ReadyQueue, jobs > 1). */
-    void workerRoundReady(unsigned worker);
-
-    /** Advance island @p i as far as the channel clocks allow. */
-    Step stepIsland(unsigned worker, std::size_t i, Time round_limit);
+    /** Advance island @p i as far as the channel clocks allow; true once
+     * it has finished the round. */
+    bool stepIsland(std::size_t i, Time round_limit);
 
     /** Fold island @p i's trigger counters into trigSum_ (its executor). */
     void noteTriggers(Island& is);
 
-    /** Enqueue a now-runnable island on @p worker's ready shard. */
-    void pushReady(unsigned worker, std::uint32_t island);
-
-    /** Pop from own shard (LIFO) or steal (FIFO). False when empty. */
-    bool popReady(unsigned worker, std::uint32_t& island);
-
-    /** After a clock publish at @p clock_ns: enqueue out-neighbors whose
-     * wake threshold the new clock satisfies (ready-queue mode). */
-    void wakeOutNeighbors(unsigned worker, std::size_t i,
-                          std::int64_t clock_ns);
-
-    /** Raw min in-neighbor clock in ns (wake re-check; max when none). */
-    std::int64_t minInNeighborClockNs(const Island& is) const;
-
-    /** Park a blocked island and close the block-vs-wake race. */
-    void blockIsland(unsigned worker, std::uint32_t island);
-
-    /** Advance the drain token a bounded number of visits; true when it
-     * proved the round tail empty and set roundAbort_. */
-    bool tryTokenPass();
-
-    /** Sequential (jobs = 1) drain probe: nothing pending <= @p t. */
-    bool allQuietBelow(Time t) const;
+    /** Drain probe: nothing of component @p c is pending at or below
+     * @p t, in its queues or inbound channels. */
+    bool componentQuietBelow(std::uint32_t c, Time t) const;
 
     /** Safe horizon of island @p i: min in-neighbor clock + lookahead. */
     Time safeHorizon(const Island& is) const;
@@ -463,7 +407,8 @@ class ShardedKernel
     /** Spawn the worker pool on first use (islands are final by then). */
     void startWorkers();
 
-    /** Rebuild every island's in-neighbor list from the edge matrix. */
+    /** Rebuild every island's neighbor lists and the connected
+     * components from the edge matrix. */
     void rebuildNeighbors();
 
     /** Grow the edge matrix to the island count, preserving entries. */
@@ -492,32 +437,32 @@ class ShardedKernel
 
     Time lookahead_;
     unsigned jobs_;
-    ScheduleMode mode_;
-    StealPolicy stealPolicy_ = StealPolicy::ReadyQueue;
     unsigned windowsPerRound_ = 16;
     bool windowsPinned_ = false;  ///< setWindowsPerRound disables adaptation
     std::deque<Island> islands_;
     std::vector<BarrierAgent*> agents_;
     Time now_;
     bool started_ = false;
-    bool useReady_ = false;   ///< this run schedules via the ready queue
-    bool useToken_ = false;   ///< this run may abort tails via the token
 
     /** @{ Edge graph. Dense until the first declareEdge()/declareDense(). */
     std::vector<std::vector<std::uint8_t>> edges_;  ///< [src][dst]
     std::vector<std::uint8_t> dense_;  ///< islands with all-pairs edges
     bool anyEdgeDeclared_ = false;
+    /** Connected components (edges taken both ways), numbered by their
+     * lowest island; each lists its islands in ascending order. */
+    std::vector<std::vector<std::uint32_t>> components_;
     /** @} */
 
     std::vector<std::size_t> logicalOf_;
 
-    /** @{ Stats (coordinator-written or per-island under claim). */
+    /** @{ Stats (coordinator-written unless atomic). */
     std::uint64_t rounds_ = 0;
     std::atomic<std::uint64_t> steals_{0};
-    std::uint64_t triggerExits_ = 0;   ///< coordinator-written
-    std::uint64_t roundsSkipped_ = 0;  ///< coordinator-written
-    std::uint64_t idleIslandRounds_ = 0;  ///< coordinator-written
     std::atomic<std::uint64_t> drainAborts_{0};
+    std::uint64_t triggerExits_ = 0;
+    std::uint64_t roundsSkipped_ = 0;
+    std::uint64_t idleIslandRounds_ = 0;
+    std::uint64_t liveComponentRounds_ = 0;
     /** @} */
 
     /** @{ Trigger machinery. lastSeen lives in Trigger (per executor);
@@ -529,37 +474,25 @@ class ShardedKernel
     std::atomic<bool> trigFired_{false};
     /** @} */
 
-    /** @{ Drain token (Stealing, jobs > 1). One holder at a time via
-     * tokenBusy_; pos/clean are handed between holders under it. */
-    std::atomic<bool> tokenBusy_{false};
-    std::uint32_t tokenPos_ = 0;
-    std::uint32_t tokenClean_ = 0;
-    std::atomic<bool> roundAbort_{false};
-    std::uint64_t seqWindowsRound_ = 0;  ///< jobs = 1 drain-probe gate
-    /** @} */
-
     /** @{ Round-start lower bounds in ns (coordinator-only, quiesced),
      * and the (bound, island) min-heap relaxBounds() settles them with. */
     std::vector<std::int64_t> lb_;
     std::vector<std::pair<std::int64_t, std::uint32_t>> lbHeap_;
     /** @} */
 
-    /** Ready-queue shards (one per worker; Stealing + ReadyQueue). */
-    std::deque<ReadyShard> ready_;
-
     /**
      * @{ Worker pool protocol. The coordinator resets the per-island
-     * round state, publishes the round with a release increment of
-     * epoch_, participates as worker 0, then waits for every worker to
-     * park (outstanding_ == 0). Workers wake on epoch_, execute islands
-     * until all islands report roundDone (doneCount_ == islandCount),
-     * then park. Claims give the cross-worker happens-before when an
-     * island migrates between workers.
+     * round state, fills the home slices, publishes the round with a
+     * release increment of epoch_, participates as worker 0, then waits
+     * for every worker to park (outstanding_ == 0). Workers wake on
+     * epoch_, run components until every slice is exhausted, then park.
+     * The epoch release/acquire and the outstanding_ acq_rel decrement
+     * order one round's island state before the next round's, whichever
+     * worker runs a component then.
      */
     std::deque<Worker> workers_;
     std::atomic<std::uint64_t> epoch_{0};
     std::atomic<unsigned> outstanding_{0};
-    std::atomic<std::size_t> doneCount_{0};
     std::atomic<bool> exit_{false};
     Time roundLimit_;
     /** @} */

@@ -1058,14 +1058,12 @@ struct MeshSoakResult
  * must be identical across worker counts.
  */
 MeshSoakResult
-runMeshSoak(std::uint64_t seed, unsigned jobs = 0,
-            ScheduleMode mode = ScheduleMode::Stealing)
+runMeshSoak(std::uint64_t seed, unsigned jobs = 0)
 {
     MeshSoakResult out;
     ClusterOptions options;
     options.sharded = jobs > 0;
     options.jobs = jobs > 0 ? jobs : 1;
-    options.scheduleMode = mode;
     Cluster cluster(rnic::DeviceProfile::connectX4(), 4, seed,
                     net::LinkConfig{}, options);
 
@@ -1217,22 +1215,14 @@ TEST(ChaosTopology, MeshSoakShardedIsJobInvariant)
     // Atomic semantics are schedule-independent: exactly-once FetchAdds.
     EXPECT_EQ(seq.counter, 500u + 8 * 2);
 
-    for (const ScheduleMode mode :
-         {ScheduleMode::Static, ScheduleMode::Stealing}) {
-        for (unsigned jobs : {2u, 4u, 8u}) {
-            const char* name =
-                mode == ScheduleMode::Static ? "static" : "stealing";
-            const MeshSoakResult par = runMeshSoak(2026, jobs, mode);
-            EXPECT_TRUE(par.drained) << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.hash, seq.hash) << "jobs=" << jobs << " "
-                                          << name;
-            EXPECT_EQ(par.violations, seq.violations)
-                << "jobs=" << jobs << " " << name << "\n" << par.report;
-            EXPECT_EQ(par.flaps, seq.flaps) << "jobs=" << jobs << " "
-                                            << name;
-            EXPECT_EQ(par.counter, seq.counter)
-                << "jobs=" << jobs << " " << name;
-        }
+    for (unsigned jobs : {2u, 4u, 8u}) {
+        const MeshSoakResult par = runMeshSoak(2026, jobs);
+        EXPECT_TRUE(par.drained) << "jobs=" << jobs;
+        EXPECT_EQ(par.hash, seq.hash) << "jobs=" << jobs;
+        EXPECT_EQ(par.violations, seq.violations)
+            << "jobs=" << jobs << "\n" << par.report;
+        EXPECT_EQ(par.flaps, seq.flaps) << "jobs=" << jobs;
+        EXPECT_EQ(par.counter, seq.counter) << "jobs=" << jobs;
     }
 
     // A different seed is a genuinely different campaign.
@@ -1612,11 +1602,12 @@ struct StormSoakResult
     std::uint64_t windows = 0;
     std::uint64_t channelParcels = 0;
     std::uint64_t idleIslandRounds = 0;
+    std::uint64_t components = 0;
+    std::uint64_t liveComponentRounds = 0;
 };
 
 StormSoakResult
 runCombinedStormSoak(std::uint64_t seed, unsigned jobs,
-                     ScheduleMode mode = ScheduleMode::Stealing,
                      bool legacy_odp = true)
 {
     constexpr std::size_t nodeCount = 64;
@@ -1624,7 +1615,6 @@ runCombinedStormSoak(std::uint64_t seed, unsigned jobs,
     ClusterOptions options;
     options.sharded = true;
     options.jobs = jobs;
-    options.scheduleMode = mode;
     auto profile = recoveryProfile();
     // The recorded golden predates the per-page state machine; the storm
     // schedule depends on invalidation behavior, so the soak pins the
@@ -1747,6 +1737,8 @@ runCombinedStormSoak(std::uint64_t seed, unsigned jobs,
     out.windows = ks.windows;
     out.channelParcels = ks.channelParcels;
     out.idleIslandRounds = ks.idleIslandRounds;
+    out.components = ks.components;
+    out.liveComponentRounds = ks.liveComponentRounds;
     return out;
 }
 
@@ -1785,42 +1777,35 @@ TEST(ChaosPortEvents, CombinedStormSoakIsJobInvariant)
     // The jobs 1/2/4/8 differential the ISSUE names: installSharded
     // forks the port-event chains per island, so a fixed seed must give
     // bit-identical port events — and therefore traces, verdicts and
-    // recovery stats — at any worker count, in both schedule modes.
+    // recovery stats — at any worker count.
     const StormSoakResult seq = runCombinedStormSoak(4046, 1);
     EXPECT_TRUE(seq.drained);
     EXPECT_EQ(seq.violations, 0u) << seq.report;
+    EXPECT_GT(seq.components, 1u);
+    EXPECT_GT(seq.liveComponentRounds, 0u);
 
-    for (const ScheduleMode mode :
-         {ScheduleMode::Static, ScheduleMode::Stealing}) {
-        for (unsigned jobs : {2u, 4u, 8u}) {
-            const char* name =
-                mode == ScheduleMode::Static ? "static" : "stealing";
-            const StormSoakResult par =
-                runCombinedStormSoak(4046, jobs, mode);
-            EXPECT_TRUE(par.drained) << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.hash, seq.hash)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.violations, seq.violations)
-                << "jobs=" << jobs << " " << name << "\n" << par.report;
-            EXPECT_EQ(par.flaps, seq.flaps)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.ports.portDownEvents,
-                      seq.ports.portDownEvents)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.ports.qpsRecovered, seq.ports.qpsRecovered)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.storm.pagesInvalidated,
-                      seq.storm.pagesInvalidated)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.completions, seq.completions)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.windows, seq.windows)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.channelParcels, seq.channelParcels)
-                << "jobs=" << jobs << " " << name;
-            EXPECT_EQ(par.idleIslandRounds, seq.idleIslandRounds)
-                << "jobs=" << jobs << " " << name;
-        }
+    for (unsigned jobs : {2u, 4u, 8u}) {
+        const StormSoakResult par = runCombinedStormSoak(4046, jobs);
+        EXPECT_TRUE(par.drained) << "jobs=" << jobs;
+        EXPECT_EQ(par.hash, seq.hash) << "jobs=" << jobs;
+        EXPECT_EQ(par.violations, seq.violations)
+            << "jobs=" << jobs << "\n" << par.report;
+        EXPECT_EQ(par.flaps, seq.flaps) << "jobs=" << jobs;
+        EXPECT_EQ(par.ports.portDownEvents, seq.ports.portDownEvents)
+            << "jobs=" << jobs;
+        EXPECT_EQ(par.ports.qpsRecovered, seq.ports.qpsRecovered)
+            << "jobs=" << jobs;
+        EXPECT_EQ(par.storm.pagesInvalidated, seq.storm.pagesInvalidated)
+            << "jobs=" << jobs;
+        EXPECT_EQ(par.completions, seq.completions) << "jobs=" << jobs;
+        EXPECT_EQ(par.windows, seq.windows) << "jobs=" << jobs;
+        EXPECT_EQ(par.channelParcels, seq.channelParcels)
+            << "jobs=" << jobs;
+        EXPECT_EQ(par.idleIslandRounds, seq.idleIslandRounds)
+            << "jobs=" << jobs;
+        EXPECT_EQ(par.components, seq.components) << "jobs=" << jobs;
+        EXPECT_EQ(par.liveComponentRounds, seq.liveComponentRounds)
+            << "jobs=" << jobs;
     }
 }
 
@@ -1833,13 +1818,13 @@ TEST(OdpPageTable, StormSoakStateMachineCleanAndJobInvariant)
     // windows extend them. The oracle must stay clean and the trace must
     // be bit-identical between jobs=1 and jobs=4.
     const StormSoakResult seq =
-        runCombinedStormSoak(4046, 1, ScheduleMode::Stealing, false);
+        runCombinedStormSoak(4046, 1, false);
     EXPECT_TRUE(seq.drained);
     EXPECT_EQ(seq.violations, 0u) << seq.report;
     EXPECT_GT(seq.storm.pagesInvalidated, 0u);
 
     const StormSoakResult par =
-        runCombinedStormSoak(4046, 4, ScheduleMode::Stealing, false);
+        runCombinedStormSoak(4046, 4, false);
     EXPECT_TRUE(par.drained);
     EXPECT_EQ(par.violations, 0u) << par.report;
     EXPECT_EQ(par.hash, seq.hash);
@@ -1856,7 +1841,7 @@ TEST(OdpPageTable, StormSoakLegacyGoldenStandsNextToStateMachine)
     const StormSoakResult legacy = runCombinedStormSoak(4046, 1);
     EXPECT_EQ(legacy.hash, kCombinedStormGolden);
     const StormSoakResult machine =
-        runCombinedStormSoak(4046, 1, ScheduleMode::Stealing, false);
+        runCombinedStormSoak(4046, 1, false);
     EXPECT_NE(machine.hash, legacy.hash);
     EXPECT_EQ(machine.violations, 0u) << machine.report;
 }

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -238,10 +239,9 @@ struct TwoIslandRun
  * the traces and counters must be too.
  */
 TwoIslandRun
-runTwoIslandWorkload(unsigned jobs,
-                     ScheduleMode mode = ScheduleMode::Stealing)
+runTwoIslandWorkload(unsigned jobs)
 {
-    ShardedKernel kernel(Time::us(1), jobs, mode);
+    ShardedKernel kernel(Time::us(1), jobs);
     const std::size_t i0 = kernel.addIsland();
     const std::size_t i1 = kernel.addIsland();
     std::vector<IslandTrace> traces(2);
@@ -291,18 +291,15 @@ TEST(ShardedKernel, TracesAreBitIdenticalAcrossWorkerCounts)
 {
     const auto reference = runTwoIslandWorkload(1);
     // jobs is clamped to the island count, so 4 and 8 exercise the
-    // clamp; both schedule modes must produce the same content.
-    for (const ScheduleMode mode :
-         {ScheduleMode::Static, ScheduleMode::Stealing}) {
-        for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
-            const TwoIslandRun run = runTwoIslandWorkload(jobs, mode);
-            EXPECT_EQ(run.traces, reference.traces) << "jobs=" << jobs;
-            EXPECT_EQ(run.windows, reference.windows) << "jobs=" << jobs;
-            EXPECT_EQ(run.channelParcels, reference.channelParcels)
-                << "jobs=" << jobs;
-            EXPECT_EQ(run.idleIslandRounds, reference.idleIslandRounds)
-                << "jobs=" << jobs;
-        }
+    // clamp.
+    for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+        const TwoIslandRun run = runTwoIslandWorkload(jobs);
+        EXPECT_EQ(run.traces, reference.traces) << "jobs=" << jobs;
+        EXPECT_EQ(run.windows, reference.windows) << "jobs=" << jobs;
+        EXPECT_EQ(run.channelParcels, reference.channelParcels)
+            << "jobs=" << jobs;
+        EXPECT_EQ(run.idleIslandRounds, reference.idleIslandRounds)
+            << "jobs=" << jobs;
     }
 }
 
@@ -621,6 +618,8 @@ struct FloodOutcome
     std::uint64_t windows = 0;
     std::uint64_t channelParcels = 0;
     std::uint64_t idleIslandRounds = 0;
+    std::uint64_t components = 0;
+    std::uint64_t liveComponentRounds = 0;
 
     bool
     operator==(const FloodOutcome& o) const
@@ -641,10 +640,7 @@ struct FloodOutcome
  * the virtual stop time.
  */
 FloodOutcome
-runMiniFlood(unsigned jobs, std::uint64_t seed,
-             ScheduleMode mode = ScheduleMode::Stealing,
-             bool trigger = false,
-             StealPolicy policy = StealPolicy::ReadyQueue)
+runMiniFlood(unsigned jobs, std::uint64_t seed, bool trigger = false)
 {
     constexpr std::size_t pairs = 4;
     constexpr std::size_t qpsPerPair = 16;
@@ -654,8 +650,6 @@ runMiniFlood(unsigned jobs, std::uint64_t seed,
     ClusterOptions options;
     options.sharded = jobs > 0;
     options.jobs = jobs > 0 ? jobs : 1;
-    options.scheduleMode = mode;
-    options.stealPolicy = policy;
     Cluster cluster(rnic::DeviceProfile::connectX4(), 2 * pairs, seed,
                     net::LinkConfig{}, options);
     chaos::InvariantMonitor monitor(cluster.fabric());
@@ -729,6 +723,8 @@ runMiniFlood(unsigned jobs, std::uint64_t seed,
         out.windows = ks.windows;
         out.channelParcels = ks.channelParcels;
         out.idleIslandRounds = ks.idleIslandRounds;
+        out.components = ks.components;
+        out.liveComponentRounds = ks.liveComponentRounds;
     }
     return out;
 }
@@ -743,23 +739,25 @@ TEST(ShardedKernel, FloodIsBitIdenticalAcrossWorkerCounts)
     EXPECT_EQ(seq.completions, 4u * 16u * 4u);
     EXPECT_GT(seq.sent, 0u);
 
-    for (const ScheduleMode mode :
-         {ScheduleMode::Static, ScheduleMode::Stealing}) {
-        for (const unsigned jobs : {2u, 4u, 8u}) {
-            const FloodOutcome par = runMiniFlood(jobs, 404, mode);
-            EXPECT_TRUE(par == seq)
-                << "jobs=" << jobs << " mode="
-                << (mode == ScheduleMode::Static ? "static" : "stealing")
-                << ": hash " << std::hex << par.traceHash << " vs "
-                << seq.traceHash << std::dec << ", sent " << par.sent
-                << " vs " << seq.sent << ", completions "
-                << par.completions << " vs " << seq.completions;
-            EXPECT_EQ(par.windows, seq.windows) << "jobs=" << jobs;
-            EXPECT_EQ(par.channelParcels, seq.channelParcels)
-                << "jobs=" << jobs;
-            EXPECT_EQ(par.idleIslandRounds, seq.idleIslandRounds)
-                << "jobs=" << jobs;
-        }
+    // Four client/server pairs: one component each.
+    EXPECT_EQ(seq.components, 4u);
+    EXPECT_GT(seq.liveComponentRounds, 0u);
+
+    for (const unsigned jobs : {2u, 4u, 8u}) {
+        const FloodOutcome par = runMiniFlood(jobs, 404);
+        EXPECT_TRUE(par == seq)
+            << "jobs=" << jobs << ": hash " << std::hex << par.traceHash
+            << " vs " << seq.traceHash << std::dec << ", sent " << par.sent
+            << " vs " << seq.sent << ", completions " << par.completions
+            << " vs " << seq.completions;
+        EXPECT_EQ(par.windows, seq.windows) << "jobs=" << jobs;
+        EXPECT_EQ(par.channelParcels, seq.channelParcels)
+            << "jobs=" << jobs;
+        EXPECT_EQ(par.idleIslandRounds, seq.idleIslandRounds)
+            << "jobs=" << jobs;
+        EXPECT_EQ(par.components, seq.components) << "jobs=" << jobs;
+        EXPECT_EQ(par.liveComponentRounds, seq.liveComponentRounds)
+            << "jobs=" << jobs;
     }
 
     // A different seed is a genuinely different run.
@@ -774,8 +772,7 @@ namespace {
  * jobs == 0 runs the identical node/LID topology on the single queue.
  */
 FloodOutcome
-runPlaneSplitFlood(unsigned jobs, std::uint64_t seed,
-                   ScheduleMode mode = ScheduleMode::Stealing)
+runPlaneSplitFlood(unsigned jobs, std::uint64_t seed)
 {
     constexpr unsigned planeCount = 4;
     constexpr std::size_t qpsPerPlane = 8;
@@ -785,7 +782,6 @@ runPlaneSplitFlood(unsigned jobs, std::uint64_t seed,
     ClusterOptions options;
     options.sharded = jobs > 0;
     options.jobs = jobs > 0 ? jobs : 1;
-    options.scheduleMode = mode;
     Cluster cluster(rnic::DeviceProfile::connectX4(), 0, seed,
                     net::LinkConfig{}, options);
     const auto planes = cluster.addNodePlanes(
@@ -877,14 +873,9 @@ TEST(ShardedKernel, PlaneSplitFloodIsBitIdenticalAcrossSchedules)
     EXPECT_EQ(seq.violations, 0u);
     EXPECT_EQ(seq.completions, 4u * 8u * 4u);
 
-    for (const ScheduleMode mode :
-         {ScheduleMode::Static, ScheduleMode::Stealing}) {
-        for (const unsigned jobs : {2u, 4u}) {
-            const FloodOutcome par = runPlaneSplitFlood(jobs, 909, mode);
-            EXPECT_TRUE(par == seq)
-                << "jobs=" << jobs << " mode="
-                << (mode == ScheduleMode::Static ? "static" : "stealing");
-        }
+    for (const unsigned jobs : {2u, 4u}) {
+        const FloodOutcome par = runPlaneSplitFlood(jobs, 909);
+        EXPECT_TRUE(par == seq) << "jobs=" << jobs;
     }
 
     // Identical node/LID topology on the single-queue kernel: the
@@ -914,8 +905,8 @@ TEST(ShardedKernel, FloodAgreesWithSingleQueueKernelOnVerdicts)
 // =====================================================================
 // Round three: trigger-based waits must be indistinguishable from
 // polling (stop time, trace hash, oracle verdicts) at every jobs
-// count, schedule mode and steal policy; the drain paths must cut the
-// null-message leapfrog tail without touching any of that.
+// count; the drain probe must cut the null-message leapfrog tail
+// without touching any of that.
 // =====================================================================
 
 TEST(ShardedKernel, TriggerWaitMatchesPollingExactly)
@@ -924,32 +915,16 @@ TEST(ShardedKernel, TriggerWaitMatchesPollingExactly)
     EXPECT_TRUE(ref.completed);
     EXPECT_EQ(ref.violations, 0u);
 
-    struct Combo
-    {
-        ScheduleMode mode;
-        StealPolicy policy;
-        const char* name;
-    };
-    const Combo combos[] = {
-        {ScheduleMode::Static, StealPolicy::ReadyQueue, "static"},
-        {ScheduleMode::Stealing, StealPolicy::ReadyQueue, "ready"},
-        {ScheduleMode::Stealing, StealPolicy::ScanLegacy, "scan"},
-    };
-    for (const Combo& c : combos) {
-        for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
-            const FloodOutcome poll =
-                runMiniFlood(jobs, 511, c.mode, false, c.policy);
-            const FloodOutcome trig =
-                runMiniFlood(jobs, 511, c.mode, true, c.policy);
-            EXPECT_TRUE(poll == ref)
-                << "poll jobs=" << jobs << " sched=" << c.name;
-            EXPECT_TRUE(trig == ref)
-                << "trigger jobs=" << jobs << " sched=" << c.name
-                << ": hash " << std::hex << trig.traceHash << " vs "
-                << ref.traceHash << std::dec << ", stop " << trig.stopNs
-                << " vs " << ref.stopNs << ", completions "
-                << trig.completions << " vs " << ref.completions;
-        }
+    for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+        const FloodOutcome poll = runMiniFlood(jobs, 511, false);
+        const FloodOutcome trig = runMiniFlood(jobs, 511, true);
+        EXPECT_TRUE(poll == ref) << "poll jobs=" << jobs;
+        EXPECT_TRUE(trig == ref)
+            << "trigger jobs=" << jobs << ": hash " << std::hex
+            << trig.traceHash << " vs " << ref.traceHash << std::dec
+            << ", stop " << trig.stopNs << " vs " << ref.stopNs
+            << ", completions " << trig.completions << " vs "
+            << ref.completions;
     }
 }
 
@@ -958,8 +933,7 @@ TEST(ShardedKernel, TriggerWaitFallbackMatchesSingleQueuePolling)
     // jobs == 0: runUntilCompletions degrades to the historical
     // per-event polling loop — bit-identical, goldens untouched.
     const FloodOutcome poll = runMiniFlood(0, 511);
-    const FloodOutcome trig =
-        runMiniFlood(0, 511, ScheduleMode::Stealing, true);
+    const FloodOutcome trig = runMiniFlood(0, 511, true);
     EXPECT_TRUE(trig.completed);
     EXPECT_TRUE(trig == poll);
 }
@@ -983,14 +957,12 @@ struct CounterTriggerRun
 };
 
 CounterTriggerRun
-runCounterTrigger(unsigned jobs, ScheduleMode mode, StealPolicy policy,
-                  std::uint64_t target, bool poll)
+runCounterTrigger(unsigned jobs, std::uint64_t target, bool poll)
 {
     constexpr std::size_t n = 8;
     constexpr std::uint64_t ticks = 40;
 
-    ShardedKernel kernel(Time::us(1), jobs, mode);
-    kernel.setStealPolicy(policy);
+    ShardedKernel kernel(Time::us(1), jobs);
     for (std::size_t i = 0; i < n; ++i)
         kernel.addIsland();
     for (std::size_t i = 0; i < n; ++i) {
@@ -1043,40 +1015,24 @@ TEST(ShardedKernel, TriggerCrossingsFromManyIslandsStopLikePolling)
     // probe a mid-round crossing, a round-boundary crossing and an
     // unreachable target (limit exit).
     for (const std::uint64_t target : {37ull, 8ull * 16ull, 8ull * 39ull}) {
-        const CounterTriggerRun ref = runCounterTrigger(
-            1, ScheduleMode::Stealing, StealPolicy::ReadyQueue, target,
-            true);
+        const CounterTriggerRun ref = runCounterTrigger(1, target, true);
         EXPECT_TRUE(ref.hit) << "target=" << target;
-        struct Combo
-        {
-            ScheduleMode mode;
-            StealPolicy policy;
-        };
-        const Combo combos[] = {
-            {ScheduleMode::Static, StealPolicy::ReadyQueue},
-            {ScheduleMode::Stealing, StealPolicy::ReadyQueue},
-            {ScheduleMode::Stealing, StealPolicy::ScanLegacy},
-        };
-        for (const Combo& c : combos) {
-            for (const unsigned jobs : {1u, 2u, 4u}) {
-                const CounterTriggerRun trig = runCounterTrigger(
-                    jobs, c.mode, c.policy, target, false);
-                EXPECT_EQ(trig.stopNs, ref.stopNs)
-                    << "jobs=" << jobs << " target=" << target;
-                EXPECT_EQ(trig.executed, ref.executed)
-                    << "jobs=" << jobs << " target=" << target;
-                EXPECT_TRUE(trig.hit);
-                EXPECT_EQ(trig.triggerExits, 1u);
-            }
+        for (const unsigned jobs : {1u, 2u, 4u}) {
+            const CounterTriggerRun trig =
+                runCounterTrigger(jobs, target, false);
+            EXPECT_EQ(trig.stopNs, ref.stopNs)
+                << "jobs=" << jobs << " target=" << target;
+            EXPECT_EQ(trig.executed, ref.executed)
+                << "jobs=" << jobs << " target=" << target;
+            EXPECT_TRUE(trig.hit);
+            EXPECT_EQ(trig.triggerExits, 1u);
         }
     }
 
     // Unreachable target: both paths run to the limit and report
     // false, with every event executed.
-    const CounterTriggerRun poll = runCounterTrigger(
-        1, ScheduleMode::Stealing, StealPolicy::ReadyQueue, 10000, true);
-    const CounterTriggerRun trig = runCounterTrigger(
-        2, ScheduleMode::Stealing, StealPolicy::ReadyQueue, 10000, false);
+    const CounterTriggerRun poll = runCounterTrigger(1, 10000, true);
+    const CounterTriggerRun trig = runCounterTrigger(2, 10000, false);
     EXPECT_FALSE(poll.hit);
     EXPECT_FALSE(trig.hit);
     EXPECT_EQ(trig.executed, 8u * 40u);
@@ -1122,47 +1078,27 @@ TEST(ShardedKernel, TriggerRegisteredAfterRunStartCountsPriorWork)
 
 TEST(ShardedKernel, SequentialDrainProbeAbortsLeapfrogTail)
 {
-    // 64-island bidirectional ring with all events in the round's
+    // Four 16-island bidirectional rings with all events in the round's
     // first window: once they retire, the rest of the round is pure
-    // null-message leapfrogging — 64 islands x 15 windows of clock
-    // churn with nothing underneath. The jobs=1 drain probe must
-    // detect the quiet kernel and abort the round (deterministically),
-    // and the abort must not skip any event.
-    ShardedKernel kernel(Time::us(1), 1);
-    constexpr std::size_t n = 64;
-    for (std::size_t i = 0; i < n; ++i)
-        kernel.addIsland();
-    for (std::size_t i = 0; i < n; ++i) {
-        kernel.declareEdge(i, (i + 1) % n);
-        kernel.declareEdge((i + 1) % n, i);
-    }
-    std::uint64_t ran = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        kernel.island(i).schedule(
-            Time::ns(static_cast<std::int64_t>(i) * 10),
-            [&ran] { ++ran; });
-    EXPECT_TRUE(kernel.run());
-    EXPECT_EQ(ran, n);
-    EXPECT_EQ(kernel.executed(), n);
-    EXPECT_GT(kernel.kernelStats().drainAborts, 0u);
-}
-
-TEST(ShardedKernel, StealingDrainTokenKeepsResultsIntact)
-{
-    // The same quiet-tail shape under the multi-worker Safra-style
-    // token (Stealing, both steal policies): the abort is a wall-clock
-    // optimization, so drainAborts is not asserted — only that every
-    // event ran and nothing below the limit was skipped.
-    for (const StealPolicy policy :
-         {StealPolicy::ReadyQueue, StealPolicy::ScanLegacy}) {
-        ShardedKernel kernel(Time::us(1), 4, ScheduleMode::Stealing);
-        kernel.setStealPolicy(policy);
-        constexpr std::size_t n = 64;
+    // null-message leapfrogging — 16 islands x 15 windows of clock
+    // churn per ring with nothing underneath. Each ring is a component,
+    // and its drain probe runs inline on whichever worker runs it, so
+    // every ring aborts its round exactly once at every jobs count, and
+    // no abort skips an event.
+    constexpr std::size_t rings = 4;
+    constexpr std::size_t perRing = 16;
+    constexpr std::size_t n = rings * perRing;
+    for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+        ShardedKernel kernel(Time::us(1), jobs);
         for (std::size_t i = 0; i < n; ++i)
             kernel.addIsland();
-        for (std::size_t i = 0; i < n; ++i) {
-            kernel.declareEdge(i, (i + 1) % n);
-            kernel.declareEdge((i + 1) % n, i);
+        for (std::size_t r = 0; r < rings; ++r) {
+            for (std::size_t k = 0; k < perRing; ++k) {
+                const std::size_t a = r * perRing + k;
+                const std::size_t b = r * perRing + (k + 1) % perRing;
+                kernel.declareEdge(a, b);
+                kernel.declareEdge(b, a);
+            }
         }
         std::atomic<std::uint64_t> ran{0};
         for (std::size_t i = 0; i < n; ++i)
@@ -1170,9 +1106,65 @@ TEST(ShardedKernel, StealingDrainTokenKeepsResultsIntact)
                 Time::ns(static_cast<std::int64_t>(i) * 10),
                 [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
         EXPECT_TRUE(kernel.run());
-        EXPECT_EQ(ran.load(), n);
-        EXPECT_EQ(kernel.executed(), n);
-        EXPECT_EQ(kernel.pending(), 0u);
+        EXPECT_EQ(ran.load(), n) << "jobs=" << jobs;
+        EXPECT_EQ(kernel.executed(), n) << "jobs=" << jobs;
+        EXPECT_EQ(kernel.pending(), 0u) << "jobs=" << jobs;
+        const auto ks = kernel.kernelStats();
+        EXPECT_EQ(ks.components, rings) << "jobs=" << jobs;
+        EXPECT_EQ(ks.drainAborts, rings) << "jobs=" << jobs;
+    }
+
+    // A pass that only creeps clocks while work waits further ahead in
+    // the round (here: both islands leapfrogging from 2.5 us towards
+    // their events at 10 us) is not a drain tail: the single round
+    // [0, 12 us] must execute everything.
+    for (const unsigned jobs : {1u, 2u}) {
+        ShardedKernel kernel(Time::us(1), jobs);
+        kernel.addIsland();
+        kernel.addIsland();
+        for (const std::int64_t ns :
+             {0L, 100L, 950L, 1000L, 2500L, 9999L, 10000L}) {
+            for (std::size_t island = 0; island < 2; ++island)
+                kernel.island(island).schedule(Time::ns(ns), [] {});
+        }
+        EXPECT_TRUE(kernel.run(Time::ns(12000)));
+        EXPECT_EQ(kernel.executed(), 14u);
+        EXPECT_EQ(kernel.kernelStats().barriers, 1u) << "jobs=" << jobs;
+    }
+}
+
+TEST(ShardedKernel, StealingDrainTokenKeepsResultsIntact)
+{
+    // The quiet-tail shape on a threaded pool: one 64-island ring (a
+    // single component, run inline) and 32 bidirectional pairs (32
+    // components spread over the workers and stolen between them).
+    // Every component's drain probe may abort its round, and no abort
+    // may skip an event.
+    constexpr std::size_t n = 64;
+    for (const bool ring : {true, false}) {
+        for (const unsigned jobs : {2u, 4u, 8u}) {
+            ShardedKernel kernel(Time::us(1), jobs);
+            for (std::size_t i = 0; i < n; ++i)
+                kernel.addIsland();
+            for (std::size_t i = 0; i < n; i += ring ? 1 : 2) {
+                const std::size_t peer = ring ? (i + 1) % n : i + 1;
+                kernel.declareEdge(i, peer);
+                kernel.declareEdge(peer, i);
+            }
+            std::atomic<std::uint64_t> ran{0};
+            for (std::size_t i = 0; i < n; ++i)
+                kernel.island(i).schedule(
+                    Time::ns(static_cast<std::int64_t>(i) * 10),
+                    [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+            EXPECT_TRUE(kernel.run());
+            EXPECT_EQ(ran.load(), n) << "ring=" << ring << " jobs=" << jobs;
+            EXPECT_EQ(kernel.executed(), n)
+                << "ring=" << ring << " jobs=" << jobs;
+            EXPECT_EQ(kernel.pending(), 0u)
+                << "ring=" << ring << " jobs=" << jobs;
+            EXPECT_EQ(kernel.kernelStats().components, ring ? 1u : n / 2)
+                << "ring=" << ring << " jobs=" << jobs;
+        }
     }
 }
 
@@ -1181,34 +1173,20 @@ TEST(ShardedKernel, StealingDrainTokenKeepsResultsIntact)
 // round at its own bound, relaxed one lookahead per edge hop from
 // every island's earliest pending item; islands bounded past the round
 // limit finish the round at dispatch. The counters are deterministic,
-// so every case runs under every schedule.
+// so every case runs inline and on a threaded pool.
 // =====================================================================
 
 namespace {
 
-struct BoundSchedule
-{
-    unsigned jobs;
-    ScheduleMode mode;
-    StealPolicy policy;
-};
-
-/** jobs = 1 plus Static, ready-queue and scan stealing at jobs = 4. */
-constexpr BoundSchedule kBoundSchedules[] = {
-    {1, ScheduleMode::Stealing, StealPolicy::ReadyQueue},
-    {4, ScheduleMode::Static, StealPolicy::ReadyQueue},
-    {4, ScheduleMode::Stealing, StealPolicy::ReadyQueue},
-    {4, ScheduleMode::Stealing, StealPolicy::ScanLegacy},
-};
+/** The inline reference and a threaded pool. */
+constexpr unsigned kBoundJobs[] = {1, 4};
 
 /** L = 1 us, rounds pinned to two windows: work in [0, 999] ns opens
  * the round [0, 1999] ns. */
 std::unique_ptr<ShardedKernel>
-makeBoundKernel(const BoundSchedule& s, std::size_t islands)
+makeBoundKernel(unsigned jobs, std::size_t islands)
 {
-    auto kernel = std::make_unique<ShardedKernel>(Time::us(1), s.jobs,
-                                                  s.mode);
-    kernel->setStealPolicy(s.policy);
+    auto kernel = std::make_unique<ShardedKernel>(Time::us(1), jobs);
     kernel->setWindowsPerRound(2);
     for (std::size_t i = 0; i < islands; ++i)
         kernel->addIsland();
@@ -1222,8 +1200,8 @@ TEST(ShardedKernel, ChainBoundSkipsIslandsPastTheRoundLimit)
     // A -> B -> C with work only on A at t = 999 ns: B's bound is
     // t + L = 1999 ns, inside the round [0, 1999]; C's is t + 2L =
     // 2999 ns, past it, so C finishes the round at dispatch.
-    for (const BoundSchedule& s : kBoundSchedules) {
-        auto kernel = makeBoundKernel(s, 3);
+    for (const unsigned jobs : kBoundJobs) {
+        auto kernel = makeBoundKernel(jobs, 3);
         kernel->declareEdge(0, 1);
         kernel->declareEdge(1, 2);
         bool ran = false;
@@ -1231,9 +1209,9 @@ TEST(ShardedKernel, ChainBoundSkipsIslandsPastTheRoundLimit)
         EXPECT_TRUE(kernel->run());
         EXPECT_TRUE(ran);
         const auto ks = kernel->kernelStats();
-        EXPECT_EQ(ks.barriers, 1u) << "jobs=" << s.jobs;
-        EXPECT_EQ(ks.windows, 1u) << "jobs=" << s.jobs;
-        EXPECT_EQ(ks.idleIslandRounds, 1u) << "jobs=" << s.jobs;
+        EXPECT_EQ(ks.barriers, 1u) << "jobs=" << jobs;
+        EXPECT_EQ(ks.windows, 1u) << "jobs=" << jobs;
+        EXPECT_EQ(ks.idleIslandRounds, 1u) << "jobs=" << jobs;
     }
 }
 
@@ -1243,20 +1221,20 @@ TEST(ShardedKernel, ParcelLandingOnTheBoundRunsInThatRound)
     // B's bound and the round limit. B's clock starts at bound - 1, so
     // the parcel executes in the first round; a clock started at the
     // bound would end B's round untouched and defer it to a second.
-    for (const BoundSchedule& s : kBoundSchedules) {
-        auto kernel = makeBoundKernel(s, 2);
+    for (const unsigned jobs : kBoundJobs) {
+        auto kernel = makeBoundKernel(jobs, 2);
         kernel->declareEdge(0, 1);
         MailboxAgent mail(*kernel);
         kernel->island(0).schedule(Time::ns(999),
                                    [&mail] { mail.post(0, 1, 7); });
         EXPECT_TRUE(kernel->run());
-        ASSERT_EQ(mail.received_[1].size(), 1u) << "jobs=" << s.jobs;
+        ASSERT_EQ(mail.received_[1].size(), 1u) << "jobs=" << jobs;
         EXPECT_EQ(mail.received_[1][0],
                   (std::pair<std::int64_t, int>{1999, 7}));
         const auto ks = kernel->kernelStats();
-        EXPECT_EQ(ks.barriers, 1u) << "jobs=" << s.jobs;
-        EXPECT_EQ(ks.idleIslandRounds, 0u) << "jobs=" << s.jobs;
-        EXPECT_EQ(ks.channelParcels, 1u) << "jobs=" << s.jobs;
+        EXPECT_EQ(ks.barriers, 1u) << "jobs=" << jobs;
+        EXPECT_EQ(ks.idleIslandRounds, 0u) << "jobs=" << jobs;
+        EXPECT_EQ(ks.channelParcels, 1u) << "jobs=" << jobs;
         kernel->removeBarrierAgent(&mail);
     }
 }
@@ -1267,8 +1245,8 @@ TEST(ShardedKernel, IdlePairExecutesNoWindow)
     // rounds ([0, 1999] and [4000, 5999] ns). The idle pair is finished
     // at dispatch in both: it executes no window and its clocks end at
     // the last round limit with everyone else's.
-    for (const BoundSchedule& s : kBoundSchedules) {
-        auto kernel = makeBoundKernel(s, 4);
+    for (const unsigned jobs : kBoundJobs) {
+        auto kernel = makeBoundKernel(jobs, 4);
         for (const auto& [a, b] : {std::pair{0, 1}, std::pair{2, 3}}) {
             kernel->declareEdge(a, b);
             kernel->declareEdge(b, a);
@@ -1278,14 +1256,14 @@ TEST(ShardedKernel, IdlePairExecutesNoWindow)
         kernel->island(1).schedule(Time::ns(5100), [] {});
         EXPECT_TRUE(kernel->run(Time::ns(5999)));
         const auto ks = kernel->kernelStats();
-        EXPECT_EQ(ks.barriers, 2u) << "jobs=" << s.jobs;
-        EXPECT_EQ(ks.windows, 4u) << "jobs=" << s.jobs;
-        EXPECT_EQ(ks.idleIslandRounds, 4u) << "jobs=" << s.jobs;
+        EXPECT_EQ(ks.barriers, 2u) << "jobs=" << jobs;
+        EXPECT_EQ(ks.windows, 4u) << "jobs=" << jobs;
+        EXPECT_EQ(ks.idleIslandRounds, 4u) << "jobs=" << jobs;
         EXPECT_EQ(ks.executedPerIsland,
                   (std::vector<std::uint64_t>{3, 1, 0, 0}));
         for (std::size_t i = 0; i < kernel->islandCount(); ++i)
             EXPECT_EQ(kernel->island(i).now(), Time::ns(5999))
-                << "island " << i << " jobs=" << s.jobs;
+                << "island " << i << " jobs=" << jobs;
     }
 }
 
@@ -1294,16 +1272,195 @@ TEST(ShardedKernel, DenseIslandTakesItsBoundFromEveryIsland)
     // Island 3 is dense, nothing else is connected. Work at 999 ns on
     // any other island bounds the dense one at 1999 ns (inside the
     // round) and the remaining two at 2999 ns through it (past it).
-    for (const BoundSchedule& s : kBoundSchedules) {
+    for (const unsigned jobs : kBoundJobs) {
         for (std::size_t src = 0; src < 3; ++src) {
-            auto kernel = makeBoundKernel(s, 4);
+            auto kernel = makeBoundKernel(jobs, 4);
             kernel->declareDense(3);
             kernel->island(src).schedule(Time::ns(999), [] {});
             EXPECT_TRUE(kernel->run());
             const auto ks = kernel->kernelStats();
             EXPECT_EQ(ks.barriers, 1u);
             EXPECT_EQ(ks.idleIslandRounds, 2u)
-                << "source " << src << " jobs=" << s.jobs;
+                << "source " << src << " jobs=" << jobs;
         }
     }
+}
+
+// =====================================================================
+// Component rounds (DESIGN.md §12.e): each connected component of the
+// edge graph runs its whole round on one worker. Which worker runs
+// which component depends on jobs and timing; nothing a component
+// executes may.
+// =====================================================================
+
+namespace {
+
+/** Deterministic outputs of a MailboxAgent workload. */
+struct MailRun
+{
+    std::vector<IslandTrace> received;
+    std::uint64_t windows = 0;
+    std::uint64_t channelParcels = 0;
+    std::uint64_t idleIslandRounds = 0;
+    std::uint64_t drainAborts = 0;
+    std::uint64_t components = 0;
+    std::uint64_t liveComponentRounds = 0;
+    std::uint64_t barriers = 0;
+};
+
+MailRun
+collect(const ShardedKernel& kernel, const MailboxAgent& mail)
+{
+    const auto ks = kernel.kernelStats();
+    MailRun out;
+    out.received = mail.received_;
+    out.windows = ks.windows;
+    out.channelParcels = ks.channelParcels;
+    out.idleIslandRounds = ks.idleIslandRounds;
+    out.drainAborts = ks.drainAborts;
+    out.components = ks.components;
+    out.liveComponentRounds = ks.liveComponentRounds;
+    out.barriers = ks.barriers;
+    return out;
+}
+
+void
+expectSameRun(const MailRun& run, const MailRun& ref, unsigned jobs)
+{
+    EXPECT_EQ(run.received, ref.received) << "jobs=" << jobs;
+    EXPECT_EQ(run.windows, ref.windows) << "jobs=" << jobs;
+    EXPECT_EQ(run.channelParcels, ref.channelParcels) << "jobs=" << jobs;
+    EXPECT_EQ(run.idleIslandRounds, ref.idleIslandRounds)
+        << "jobs=" << jobs;
+    EXPECT_EQ(run.drainAborts, ref.drainAborts) << "jobs=" << jobs;
+    EXPECT_EQ(run.components, ref.components) << "jobs=" << jobs;
+    EXPECT_EQ(run.liveComponentRounds, ref.liveComponentRounds)
+        << "jobs=" << jobs;
+    EXPECT_EQ(run.barriers, ref.barriers) << "jobs=" << jobs;
+}
+
+void
+declarePair(ShardedKernel& kernel, std::size_t a, std::size_t b)
+{
+    kernel.declareEdge(a, b);
+    kernel.declareEdge(b, a);
+}
+
+/**
+ * Pairs 0 <-> 1 and 2 <-> 3 exchange mail in a first run; between runs
+ * the quiesced kernel gains the edge 1 -> 2, which merges the pairs,
+ * and the second run carries mail across it.
+ */
+MailRun
+runMergingPairs(unsigned jobs, std::uint64_t* components_before)
+{
+    ShardedKernel kernel(Time::us(1), jobs);
+    for (int i = 0; i < 4; ++i)
+        kernel.addIsland();
+    declarePair(kernel, 0, 1);
+    declarePair(kernel, 2, 3);
+    MailboxAgent mail(kernel);
+    for (int k = 0; k < 6; ++k) {
+        kernel.island(0).schedule(Time::ns(700 * k),
+                                  [&mail, k] { mail.post(0, 1, k); });
+        kernel.island(3).schedule(Time::ns(900 * k + 50), [&mail, k] {
+            mail.post(3, 2, 10 + k);
+        });
+    }
+    // Runs only after the edge exists (the first run stops at 30 us).
+    for (int k = 0; k < 4; ++k) {
+        kernel.island(1).schedule(Time::us(40) + Time::ns(300 * k),
+                                  [&mail, k] { mail.post(1, 2, 20 + k); });
+    }
+    EXPECT_FALSE(kernel.run(Time::us(30)));
+    *components_before = kernel.kernelStats().components;
+    kernel.declareEdge(1, 2);
+    EXPECT_TRUE(kernel.run());
+    kernel.removeBarrierAgent(&mail);
+    return collect(kernel, mail);
+}
+
+} // namespace
+
+TEST(ShardedKernel, ComponentsFollowTheEdgeGraph)
+{
+    // Two disjoint pairs plus an idle island: three components, counted
+    // from the first run on; a dense island joins them all.
+    ShardedKernel kernel(Time::us(1), 2);
+    for (int i = 0; i < 5; ++i)
+        kernel.addIsland();
+    declarePair(kernel, 0, 1);
+    declarePair(kernel, 2, 3);
+    EXPECT_EQ(kernel.kernelStats().components, 0u);
+    kernel.island(0).schedule(Time::ns(10), [] {});
+    EXPECT_TRUE(kernel.run());
+    EXPECT_EQ(kernel.kernelStats().components, 3u);
+    EXPECT_EQ(kernel.kernelStats().liveComponentRounds, 1u);
+    kernel.declareDense(4);
+    EXPECT_EQ(kernel.kernelStats().components, 1u);
+
+    // A quiesced declareEdge between runs merges two components, and
+    // the run across the merge stays bit-identical to jobs = 1.
+    std::uint64_t before = 0;
+    const MailRun ref = runMergingPairs(1, &before);
+    EXPECT_EQ(before, 2u);
+    EXPECT_EQ(ref.components, 1u);
+    ASSERT_EQ(ref.received[2].size(), 10u);
+    EXPECT_EQ(ref.received[2].back(),
+              (std::pair<std::int64_t, int>{40900 + 1000, 23}));
+    for (const unsigned jobs : {2u, 4u, 8u}) {
+        const MailRun run = runMergingPairs(jobs, &before);
+        EXPECT_EQ(before, 2u) << "jobs=" << jobs;
+        expectSameRun(run, ref, jobs);
+    }
+}
+
+TEST(ShardedKernel, MoreComponentsThanWorkersAndOneGiant)
+{
+    // A giant 8-island ring carrying mail around every 5 us, plus ten
+    // pairs with sparse, uneven traffic: eleven components of very
+    // different weight, more than any worker count here. The ring runs
+    // on one worker per round while the pairs spread over the others;
+    // every deterministic counter must match jobs = 1.
+    constexpr std::size_t ring = 8;
+    constexpr std::size_t pairs = 10;
+    const auto run = [](unsigned jobs) {
+        ShardedKernel kernel(Time::us(1), jobs);
+        for (std::size_t i = 0; i < ring + 2 * pairs; ++i)
+            kernel.addIsland();
+        for (std::size_t i = 0; i < ring; ++i)
+            declarePair(kernel, i, (i + 1) % ring);
+        for (std::size_t p = 0; p < pairs; ++p)
+            declarePair(kernel, ring + 2 * p, ring + 2 * p + 1);
+        MailboxAgent mail(kernel);
+        for (std::size_t i = 0; i < ring; ++i) {
+            for (int m = 0; m < 12; ++m) {
+                kernel.island(i).schedule(
+                    Time::ns(static_cast<std::int64_t>(i) * 50 + m * 5000),
+                    [&mail, i, m] { mail.post(i, (i + 1) % ring, m); });
+            }
+        }
+        for (std::size_t p = 0; p < pairs; ++p) {
+            const std::size_t a = ring + 2 * p;
+            for (int m = 0; m < 3 + static_cast<int>(p); ++m) {
+                kernel.island(a).schedule(
+                    Time::ns(static_cast<std::int64_t>(p) * 137 +
+                             m * 23000),
+                    [&mail, a, m] { mail.post(a, a + 1, m); });
+            }
+        }
+        EXPECT_TRUE(kernel.run());
+        EXPECT_EQ(kernel.pending(), 0u);
+        kernel.removeBarrierAgent(&mail);
+        return collect(kernel, mail);
+    };
+
+    const MailRun ref = run(1);
+    EXPECT_EQ(ref.components, 1u + pairs);
+    EXPECT_EQ(ref.channelParcels, ring * 12u + pairs * 3u + 45u);
+    EXPECT_GT(ref.liveComponentRounds, ref.barriers);
+    EXPECT_GT(ref.idleIslandRounds, 0u);
+    EXPECT_GT(ref.drainAborts, 0u);
+    for (const unsigned jobs : {2u, 4u, 8u})
+        expectSameRun(run(jobs), ref, jobs);
 }
