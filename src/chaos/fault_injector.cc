@@ -54,7 +54,7 @@ DelayStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
                   Time /*now*/, Rng& rng, InjectorStats& stats)
 {
     for (auto& d : deliveries) {
-        if (!filter_.matches(d.pkt) || !rng.chance(rate_))
+        if (!filter_.matches(d.packet()) || !rng.chance(rate_))
             continue;
         d.extraDelay += rng.uniformTime(min_, max_ + Time::ns(1));
         ++stats.delayed;
@@ -66,7 +66,7 @@ ReorderStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
                     Time /*now*/, Rng& rng, InjectorStats& stats)
 {
     for (auto& d : deliveries) {
-        if (!filter_.matches(d.pkt) || !rng.chance(rate_))
+        if (!filter_.matches(d.packet()) || !rng.chance(rate_))
             continue;
         // Holding this packet lets later sends overtake it: bounded
         // reordering without any cross-packet state in the stage.
@@ -81,10 +81,12 @@ DuplicateStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
 {
     const std::size_t n = deliveries.size();
     for (std::size_t i = 0; i < n; ++i) {
-        if (!filter_.matches(deliveries[i].pkt) || !rng.chance(rate_))
+        if (!filter_.matches(deliveries[i].packet()) || !rng.chance(rate_))
             continue;
+        // Copying a delivery materializes its own packet; the original
+        // stays borrowed.
         net::FaultHook::Delivery copy = deliveries[i];
-        copy.pkt.chaosFlags |= net::Packet::chaosDuplicated;
+        copy.mutablePacket().chaosFlags |= net::Packet::chaosDuplicated;
         copy.extraDelay +=
             rng.uniformTime(Time::ns(0), maxCopyDelay_ + Time::ns(1));
         deliveries.push_back(std::move(copy));
@@ -97,9 +99,9 @@ CorruptStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
                     Time /*now*/, Rng& rng, InjectorStats& stats)
 {
     for (auto& d : deliveries) {
-        if (!filter_.matches(d.pkt) || !rng.chance(rate_))
+        if (!filter_.matches(d.packet()) || !rng.chance(rate_))
             continue;
-        net::Packet& pkt = d.pkt;
+        net::Packet& pkt = d.mutablePacket();
         // Flip bits in one randomly chosen field — header or payload —
         // modeling in-flight corruption before the ICRC check.
         switch (rng.uniformInt(0, 5)) {
@@ -158,7 +160,7 @@ LinkFlapStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
     auto it = std::remove_if(
         deliveries.begin(), deliveries.end(),
         [&](const net::FaultHook::Delivery& d) {
-            if (!filter_.matches(d.pkt))
+            if (!filter_.matches(d.packet()))
                 return false;
             ++stats.flapDropped;
             ++stats.dropped;
@@ -174,7 +176,7 @@ DropStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
     auto it = std::remove_if(
         deliveries.begin(), deliveries.end(),
         [&](const net::FaultHook::Delivery& d) {
-            if (!filter_.matches(d.pkt) || !rng.chance(rate_))
+            if (!filter_.matches(d.packet()) || !rng.chance(rate_))
                 return false;
             ++stats.dropped;
             return true;
@@ -189,7 +191,8 @@ LossModelStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
     auto it = std::remove_if(
         deliveries.begin(), deliveries.end(),
         [&](const net::FaultHook::Delivery& d) {
-            if (!filter_.matches(d.pkt) || !model_->shouldDrop(d.pkt, rng))
+            if (!filter_.matches(d.packet()) ||
+                !model_->shouldDrop(d.packet(), rng))
                 return false;
             ++stats.dropped;
             return true;
@@ -203,7 +206,7 @@ ForgedNakStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
 {
     const std::size_t n = deliveries.size();
     for (std::size_t i = 0; i < n; ++i) {
-        const net::Packet& req = deliveries[i].pkt;
+        const net::Packet& req = deliveries[i].packet();
         if (!filter_.matches(req) || !isRequestOpcode(req.op) ||
             !rng.chance(rate_)) {
             continue;
@@ -259,7 +262,7 @@ FaultInjector::processPacket(const net::Packet& pkt, Time now,
                              std::vector<net::FaultHook::Delivery>& out)
 {
     ++stats_.packetsSeen;
-    out.push_back({pkt, Time()});
+    out.push_back(net::FaultHook::Delivery::borrow(pkt));
     for (auto& stage : stages_) {
         stage->apply(out, now, rng_, stats_);
         if (out.empty())

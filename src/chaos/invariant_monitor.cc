@@ -27,6 +27,13 @@ flowStr(std::uint16_t lid, std::uint32_t qpn)
     return "lid=" + std::to_string(lid) + " qpn=" + std::to_string(qpn);
 }
 
+/** Shard::flowIndex key of a flow. */
+std::uint64_t
+flowId(std::uint16_t lid, std::uint32_t qpn)
+{
+    return (static_cast<std::uint64_t>(lid) << 32) | qpn;
+}
+
 } // namespace
 
 std::string
@@ -59,9 +66,10 @@ void
 InvariantMonitor::watch(rnic::Rnic& rnic, rnic::QpContext& qp)
 {
     const FlowKey key{rnic.lid(), qp.qpn};
-    auto& flows = shardOf(rnic.lid()).flows;
-    const bool fresh = flows.find(key) == flows.end();
-    FlowState& st = flows[key];
+    Shard& shard = shardOf(rnic.lid());
+    const bool fresh = shard.flows.find(key) == shard.flows.end();
+    FlowState& st = shard.flows[key];
+    shard.flowIndex[flowId(key.lid, key.qpn)] = &st;
     st.rnic = &rnic;
     st.qp = &qp;
     if (fresh) {
@@ -114,9 +122,9 @@ InvariantMonitor::egressShard()
 InvariantMonitor::FlowState*
 InvariantMonitor::flow(std::uint16_t lid, std::uint32_t qpn)
 {
-    auto& flows = shardOf(lid).flows;
-    auto it = flows.find({lid, qpn});
-    return it == flows.end() ? nullptr : &it->second;
+    const auto& index = shardOf(lid).flowIndex;
+    auto it = index.find(flowId(lid, qpn));
+    return it == index.end() ? nullptr : it->second;
 }
 
 void

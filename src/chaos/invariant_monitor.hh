@@ -121,6 +121,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "net/fabric.hh"
@@ -339,9 +340,13 @@ class InvariantMonitor : public ShardedKernel::BarrierAgent
         std::uint64_t violationCount = 0;
         std::uint64_t hash = 14695981039346656037ull;  // FNV offset basis
         std::uint64_t packetsObserved = 0;
+        /** Hashed index over flows, keyed (lid << 32 | qpn): the
+         * per-packet lookups. flows stays the ordered home, so
+         * finalCheck() and report() iterate in key order. */
+        std::unordered_map<std::uint64_t, FlowState*> flowIndex;
         /** Outbound channels keyed by at + lookahead, one per dst
-         * island (a deque: CrossChannel holds a mutex, must not move). */
-        std::deque<CrossChannel<CrossRecord>> out;
+         * island. */
+        std::vector<CrossChannel<CrossRecord>> out;
         std::vector<CrossRecord> inbox;  ///< drain merge scratch
     };
 

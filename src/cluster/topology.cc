@@ -125,9 +125,10 @@ TopologyStage::apply(std::vector<net::FaultHook::Delivery>& deliveries,
     auto it = std::remove_if(
         deliveries.begin(), deliveries.end(),
         [&](const net::FaultHook::Delivery& d) {
-            if (topology_.linkUp(d.pkt.srcLid, d.pkt.dstLid, now))
+            const net::Packet& pkt = d.packet();
+            if (topology_.linkUp(pkt.srcLid, pkt.dstLid, now))
                 return false;
-            topology_.countDrop(d.pkt.srcLid, d.pkt.dstLid);
+            topology_.countDrop(pkt.srcLid, pkt.dstLid);
             ++stats.flapDropped;
             ++stats.dropped;
             return true;

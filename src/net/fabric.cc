@@ -146,8 +146,36 @@ Fabric::totalPortEventDrops() const
     return total;
 }
 
+template <typename Emit>
+bool
+Fabric::runHook(FaultHook& hook, std::vector<FaultHook::Delivery>& spare,
+                Packet& pkt, Time now, Emit&& emit)
+{
+    // Reuse one spare vector instead of allocating per packet. It is
+    // taken out of the member while in use, so a delivery that re-enters
+    // send() gets a fresh vector rather than this one.
+    std::vector<FaultHook::Delivery> out = std::move(spare);
+    out.clear();
+    hook.processPacket(pkt, now, out);
+    const bool kept = !out.empty();
+    [[maybe_unused]] bool originalTaken = false;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        FaultHook::Delivery& d = out[i];
+        if (d.borrowsOriginal()) {
+            assert(!originalTaken && "two deliveries borrow the original");
+            originalTaken = true;
+            emit(i, std::move(pkt), d.extraDelay);
+        } else {
+            emit(i, std::move(d.mutablePacket()), d.extraDelay);
+        }
+    }
+    out.clear();
+    spare = std::move(out);
+    return kept;
+}
+
 std::uint64_t
-Fabric::send(Packet pkt)
+Fabric::send(Packet&& pkt)
 {
     if (sharded())
         return sendSharded(std::move(pkt));
@@ -181,44 +209,37 @@ Fabric::send(Packet pkt)
         return pkt.wireId;
     }
 
+    const std::uint64_t id = pkt.wireId;
     if (hook_ != nullptr) {
-        // Reuse one scratch vector instead of allocating per packet. It
-        // is taken out of the member while in use, so a delivery that
-        // re-enters send() gets a fresh vector rather than this one.
-        std::vector<FaultHook::Delivery> out = std::move(hookOut_);
-        out.clear();
-        hook_->processPacket(pkt, events_.now(), out);
-        if (out.empty()) {
-            hookOut_ = std::move(out);
+        const Time now = events_.now();
+        const bool kept = runHook(
+            *hook_, hookOut_, pkt, now,
+            [&](std::size_t i, Packet&& p, Time extra) {
+                if (i == 0) {
+                    p.wireId = id;
+                } else {
+                    p.wireId = nextWireId_++;
+                    ++totalInjected_;
+                }
+                p.sentAt = now;
+                deliver(std::move(p), extra + detour);
+            });
+        if (!kept) {
             ++totalDropped_;
             for (const auto& tap : taps_)
                 tap(pkt, true);
-            IBSIM_TRACE(traceFabric, events_.now(),
+            IBSIM_TRACE(traceFabric, now,
                         pkt.str() + "  ** DROPPED (chaos) **");
-            return pkt.wireId;
         }
-        const std::uint64_t id = pkt.wireId;
-        for (std::size_t i = 0; i < out.size(); ++i) {
-            if (i == 0) {
-                out[i].pkt.wireId = id;
-            } else {
-                out[i].pkt.wireId = nextWireId_++;
-                ++totalInjected_;
-            }
-            out[i].pkt.sentAt = events_.now();
-            deliver(std::move(out[i].pkt), out[i].extraDelay + detour);
-        }
-        hookOut_ = std::move(out);
         return id;
     }
 
-    const std::uint64_t id = pkt.wireId;
     deliver(std::move(pkt), detour);
     return id;
 }
 
 void
-Fabric::deliver(Packet pkt, Time extra_delay)
+Fabric::deliver(Packet&& pkt, Time extra_delay)
 {
     PortRecord& dst = port(pkt.dstLid);
     const bool unknownLid = (dst.handler == nullptr);
@@ -335,7 +356,7 @@ Fabric::setIslandFaultHook(std::size_t island, FaultHook* hook)
 }
 
 std::uint64_t
-Fabric::sendSharded(Packet pkt)
+Fabric::sendSharded(Packet&& pkt)
 {
     const std::size_t laneIndex = islandOf(pkt.srcLid);
     Lane& lane = lanes_[laneIndex];
@@ -372,45 +393,39 @@ Fabric::sendSharded(Packet pkt)
         return pkt.wireId;
     }
 
+    const std::uint64_t id = pkt.wireId;
     if (lane.hook != nullptr) {
-        // The lane's scratch vector, taken out while in use (see send()).
-        std::vector<FaultHook::Delivery> out = std::move(lane.hookOut);
-        out.clear();
-        lane.hook->processPacket(pkt, lane.events->now(), out);
-        if (out.empty()) {
-            lane.hookOut = std::move(out);
+        const Time now = lane.events->now();
+        const bool kept = runHook(
+            *lane.hook, lane.hookOut, pkt, now,
+            [&](std::size_t i, Packet&& p, Time extra) {
+                if (i == 0) {
+                    p.wireId = id;
+                } else {
+                    p.wireId =
+                        (static_cast<std::uint64_t>(laneIndex + 1) << 44) |
+                        lane.nextWireId++;
+                    ++lane.injected;
+                }
+                p.sentAt = now;
+                deliverSharded(laneIndex, std::move(p), extra + detour);
+            });
+        if (!kept) {
             ++lane.dropped;
             for (const auto& tap : taps_)
                 tap(pkt, true);
-            IBSIM_TRACE(traceFabric, lane.events->now(),
+            IBSIM_TRACE(traceFabric, now,
                         pkt.str() + "  ** DROPPED (chaos) **");
-            return pkt.wireId;
         }
-        const std::uint64_t id = pkt.wireId;
-        for (std::size_t i = 0; i < out.size(); ++i) {
-            if (i == 0) {
-                out[i].pkt.wireId = id;
-            } else {
-                out[i].pkt.wireId =
-                    (static_cast<std::uint64_t>(laneIndex + 1) << 44) |
-                    lane.nextWireId++;
-                ++lane.injected;
-            }
-            out[i].pkt.sentAt = lane.events->now();
-            deliverSharded(laneIndex, std::move(out[i].pkt),
-                           out[i].extraDelay + detour);
-        }
-        lane.hookOut = std::move(out);
         return id;
     }
 
-    const std::uint64_t id = pkt.wireId;
     deliverSharded(laneIndex, std::move(pkt), detour);
     return id;
 }
 
 void
-Fabric::deliverSharded(std::size_t lane_index, Packet pkt,
+Fabric::deliverSharded(std::size_t lane_index, Packet&& pkt,
                        Time extra_delay)
 {
     Lane& lane = lanes_[lane_index];
@@ -446,52 +461,58 @@ Fabric::deliverSharded(std::size_t lane_index, Packet pkt,
         depart = lane.events->now() + serialization;
     }
     const Time arrive0 = depart + config_.latency + extra_delay;
-
     const std::size_t dstIsland = islandOf(pkt.dstLid);
+
+    // The packet's one write on its way across: into a slot of this
+    // lane's pool, held until the delivery releases it.
+    const Parcel parcel{arrive0, serialization, pkt.wireId,
+                        static_cast<std::uint32_t>(lane_index),
+                        lane.pool.acquire()};
+    lane.pool.at(parcel.slot) = std::move(pkt);
+
     if (dstIsland == lane_index) {
-        finalizeIngress(dstIsland, std::move(pkt), arrive0, serialization);
+        finalizeIngress(dstIsland, parcel);
     } else {
         assert(kernel_->hasEdge(lane_index, dstIsland) &&
                "cross-island send along an undeclared route");
         // Keyed by effect time: the first event this parcel can schedule
         // at the destination (ingress chaining only pushes it later).
         const Time effect = arrive0 + config_.perPacketOverhead;
-        const std::uint64_t wireId = pkt.wireId;
-        lane.out[dstIsland].push(
-            effect.toNs(),
-            Parcel{arrive0, serialization, wireId, std::move(pkt)});
+        lane.out[dstIsland].push(effect.toNs(), Parcel(parcel));
     }
 }
 
 void
-Fabric::finalizeIngress(std::size_t dst_island, Packet pkt, Time arrive0,
-                        Time serialization)
+Fabric::finalizeIngress(std::size_t dst_island, const Parcel& parcel)
 {
     Lane& dst = lanes_[dst_island];
-    PortRecord& rec = ports_[pkt.dstLid];
+    PacketPool& pool = lanes_[parcel.lane].pool;
+    PortRecord& rec = ports_[pool.at(parcel.slot).dstLid];
     if (rec.state == PortState::Down) {
         // Administrative ingress gate, checked on the owning island. The
         // egress tap already saw the packet as delivered; this late drop
         // models a port that died while the packet was in flight.
         ++dst.dropped;
         ++dst.portEventDrops;
+        pool.release(parcel.slot);
         return;
     }
     PortHandler* handler = rec.handler;
-    const Time arrive = std::max(arrive0, rec.ingressFreeAt);
-    rec.ingressFreeAt = arrive + serialization;
+    const Time arrive = std::max(parcel.arrive0, rec.ingressFreeAt);
+    rec.ingressFreeAt = arrive + parcel.serialization;
     const Time deliverAt = arrive + config_.perPacketOverhead;
 
-    const std::uint32_t slot = dst.pool.acquire();
-    dst.pool.at(slot) = std::move(pkt);
-
+    // The slot's pool belongs to the sending lane, whose island shares
+    // this island's component: one worker runs both this round.
     const auto island = static_cast<std::uint32_t>(dst_island);
-    auto deliver_cb = [this, island, handler, slot] {
-        Lane& lane = lanes_[island];
-        ++lane.delivered;
+    const std::uint32_t owner = parcel.lane;
+    const std::uint32_t slot = parcel.slot;
+    auto deliver_cb = [this, island, owner, handler, slot] {
+        ++lanes_[island].delivered;
         tlsEgressIsland = island;
-        handler->receive(lane.pool.at(slot));
-        lane.pool.release(slot);
+        PacketPool& pool = lanes_[owner].pool;
+        handler->receive(pool.at(slot));
+        pool.release(slot);
     };
     static_assert(EventQueue::Callback::storesInline<decltype(deliver_cb)>,
                   "delivery closure must not allocate");
@@ -534,10 +555,8 @@ Fabric::flushInbound(std::size_t island, Time /*now*/, Time horizon)
         return a.arrive0 != b.arrive0 ? a.arrive0 < b.arrive0
                                       : a.wireId < b.wireId;
     });
-    for (Parcel& parcel : in) {
-        finalizeIngress(island, std::move(parcel.pkt), parcel.arrive0,
-                        parcel.serialization);
-    }
+    for (const Parcel& parcel : in)
+        finalizeIngress(island, parcel);
     return in.size();
 }
 
@@ -546,7 +565,7 @@ Fabric::inboundEarliest(std::size_t island)
 {
     // Probed on every island step: restrict to in-neighbor lanes (the
     // only ones that can feed this island) — on a sparse mesh this turns
-    // an all-islands sweep into a handful of atomic loads.
+    // an all-islands sweep into a handful of loads.
     std::int64_t earliest = CrossChannel<Parcel>::kEmpty;
     for (std::uint32_t src_index : kernel_->inNeighbors(island))
         earliest = std::min(earliest,

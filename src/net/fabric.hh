@@ -127,7 +127,13 @@ using CaptureTap = std::function<void(const Packet&, bool dropped)>;
  *    parcel at or below the horizon is already visible (DESIGN.md
  *    §12.b), so there is no global barrier anywhere on the path. Both
  *    the egress and ingress busy-times of a port are only ever touched
- *    by that port's island. The fabric forwards each connection's route
+ *    by that port's island. A cross-island packet is written once, at
+ *    egress, into a slot of the sending lane's PacketPool; the parcel
+ *    carries only the slot, and the delivery reads the packet in place
+ *    and returns the slot to that pool. Both lanes lie in one connected
+ *    component of the edge graph, which one worker runs per round, so
+ *    the pool and the channels need no locks (DESIGN.md §12.f). The
+ *    fabric forwards each connection's route
  *    to the kernel's edge graph (declareRoute(); UD-capable islands
  *    declare dense edges), which is what lets distant islands run
  *    windows without synchronizing. Loss models and fault hooks shared
@@ -152,7 +158,7 @@ class Fabric : public ShardedKernel::BarrierAgent
      * loss model or addressed to an unknown LID — it still got a wire id
      * for capture purposes; 0 is never used).
      */
-    std::uint64_t send(Packet pkt);
+    std::uint64_t send(Packet&& pkt);
 
     /**
      * Install a loss model (replaces the previous one).
@@ -248,6 +254,13 @@ class Fabric : public ShardedKernel::BarrierAgent
     /** In-flight packet pool usage (capacity planning / tests). */
     const PacketPool& packetPool() const { return pool_; }
 
+    /** Island mode: the pool holding @p island's in-flight egress. */
+    const PacketPool&
+    lanePool(std::size_t island) const
+    {
+        return lanes_[island].pool;
+    }
+
     /** @{ Island mode (see the class comment). */
 
     /**
@@ -324,11 +337,20 @@ class Fabric : public ShardedKernel::BarrierAgent
     /** @} */
 
   private:
+    /** Schedule one pipeline output of send() (single-queue mode). */
+    void deliver(Packet&& pkt, Time extra_delay);
+
     /**
-     * Stamp a wire id / sent time on an injected or duplicated delivery
-     * and schedule it; shared by send() for every pipeline output.
+     * Run @p hook over @p pkt and pass each delivery's packet to
+     * @p emit(index, Packet&&, extra delay), in pipeline order. The
+     * delivery still borrowing @p pkt gets @p pkt itself, moved; only
+     * packets a stage changed or made were ever copied. Returns false
+     * (leaving @p pkt untouched) when the hook dropped the packet.
      */
-    void deliver(Packet pkt, Time extra_delay);
+    template <typename Emit>
+    static bool runHook(FaultHook& hook,
+                        std::vector<FaultHook::Delivery>& spare,
+                        Packet& pkt, Time now, Emit&& emit);
 
     /**
      * Per-LID state of the datapath, one cache line per hop: the
@@ -356,24 +378,26 @@ class Fabric : public ShardedKernel::BarrierAgent
 
     /**
      * @{ Island-mode datapath. A Parcel is a packet in a cross-island
-     * channel: arrive0 is its earliest ingress arrival (egress
-     * serialization, latency and chaos delay already applied by the
-     * source island); the destination island applies its ingress
-     * max-chain when it drains the channel, merging parcels from every
-     * source lane in (arrive0, wireId) order — a strict total order,
-     * because wire ids are unique. Channels are CrossChannels keyed by
-     * the parcel's effect time (arrive0 + perPacketOverhead, the first
-     * event it can schedule): producer and consumer islands run
-     * concurrently under pairwise channel clocks, and the key is what a
-     * drain's horizon threshold compares against.
+     * channel, by reference: the packet itself sits in slot `slot` of
+     * lane `lane`'s pool, written once at egress. arrive0 is its
+     * earliest ingress arrival (egress serialization, latency and chaos
+     * delay already applied by the source island); the destination
+     * island applies its ingress max-chain when it drains the channel,
+     * merging parcels from every source lane in (arrive0, wireId) order
+     * — a strict total order, because wire ids are unique. Channels are
+     * CrossChannels keyed by the parcel's effect time (arrive0 +
+     * perPacketOverhead, the first event it can schedule), which is what
+     * a drain's horizon threshold compares against.
      */
     struct Parcel
     {
         Time arrive0;
         Time serialization;
         std::uint64_t wireId;
-        Packet pkt;
+        std::uint32_t lane;  ///< lane whose pool holds the packet
+        std::uint32_t slot;  ///< slot in that pool
     };
+    static_assert(sizeof(Parcel) == 32, "a parcel is a slot reference");
 
     struct Lane
     {
@@ -393,18 +417,16 @@ class Fabric : public ShardedKernel::BarrierAgent
         std::uint64_t portEventDrops = 0;
         /** Island-local replica of down links (keys from linkKey()). */
         std::vector<std::uint32_t> downLinks;
-        /** Outbound channels, one per destination island (a deque:
-         * CrossChannel holds a mutex and must never move). */
-        std::deque<CrossChannel<Parcel>> out;
+        /** Outbound channels, one per destination island. */
+        std::vector<CrossChannel<Parcel>> out;
         std::vector<Parcel> inbox;  ///< drain merge scratch
         std::vector<FaultHook::Delivery> hookOut;  ///< fault-hook scratch
     };
 
-    std::uint64_t sendSharded(Packet pkt);
-    void deliverSharded(std::size_t lane_index, Packet pkt,
+    std::uint64_t sendSharded(Packet&& pkt);
+    void deliverSharded(std::size_t lane_index, Packet&& pkt,
                         Time extra_delay);
-    void finalizeIngress(std::size_t dst_island, Packet pkt, Time arrive0,
-                         Time serialization);
+    void finalizeIngress(std::size_t dst_island, const Parcel& parcel);
     /** @} */
 
     static std::uint32_t

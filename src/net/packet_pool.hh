@@ -11,6 +11,14 @@
  * their slot, so data payloads change hands without a byte copy and the
  * empty-payload packets of a flood (requests, ACKs, NAKs) recycle slots
  * with zero allocator traffic for millions of deliveries.
+ *
+ * In island mode each fabric lane owns one pool, and a packet's slot is
+ * held on the *sending* lane for the whole flight: written once at
+ * egress, referenced by the cross-island parcel, read in place by the
+ * delivery on the destination island, and released there back to the
+ * sending lane's pool. Both lanes lie in one connected component of the
+ * kernel's edge graph, and one worker runs a component per round, so
+ * the pool is never touched by two threads at once.
  */
 
 #ifndef IBSIM_NET_PACKET_POOL_HH

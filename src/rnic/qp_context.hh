@@ -28,7 +28,13 @@ class CompletionQueue;
 namespace rnic {
 
 /** 24-bit PSN ring arithmetic: signed distance a - b. */
-std::int32_t psnDiff(std::uint32_t a, std::uint32_t b);
+constexpr std::int32_t
+psnDiff(std::uint32_t a, std::uint32_t b)
+{
+    // Shift the 24-bit difference into the top of a 32-bit int and
+    // arithmetically shift back down.
+    return static_cast<std::int32_t>(((a - b) & 0xffffff) << 8) >> 8;
+}
 
 /** Next PSN on the 24-bit ring. */
 constexpr std::uint32_t

@@ -228,31 +228,35 @@ RcRequester::pump()
             return;  // pipelining window full
         }
         // Find the WQE whose PSN range starts at the cursor (WQEs may
-        // span several PSNs under MTU segmentation).
-        SendWqe* next = nullptr;
-        for (auto& wqe : qp_.outstanding) {
-            if (wqe.psn == qp_.sendCursor) {
-                next = &wqe;
-                break;
-            }
-            if (psnDiff(wqe.psn, qp_.sendCursor) > 0)
-                break;
+        // span several PSNs under MTU segmentation). PSNs rise strictly
+        // along the queue, so at most one WQE matches: the hint, when it
+        // still points at it, is that WQE; otherwise (a rewind moved the
+        // cursor back) scan from the head.
+        std::size_t at = cursorHint_;
+        if (at >= qp_.outstanding.size() ||
+            qp_.outstanding[at].psn != qp_.sendCursor) {
+            at = 0;
+            while (at < qp_.outstanding.size() &&
+                   psnDiff(qp_.outstanding[at].psn, qp_.sendCursor) < 0)
+                ++at;
+            if (at == qp_.outstanding.size() ||
+                qp_.outstanding[at].psn != qp_.sendCursor)
+                return;  // nothing more to send
         }
-        if (!next)
-            return;  // nothing more to send
+        SendWqe* next = &qp_.outstanding[at];
         const bool read_type = next->op == verbs::WrOpcode::Read ||
                                next->op == verbs::WrOpcode::FetchAdd ||
                                next->op == verbs::WrOpcode::CompSwap;
         if (read_type && qp_.config.maxRdAtomic > 0) {
             // In-order SQ: a READ/ATOMIC beyond the responder's
             // advertised depth stalls the queue until one completes.
+            // The WQEs ahead of the cursor are exactly those before it.
             std::uint32_t outstanding_reads = 0;
-            for (const auto& wqe : qp_.outstanding) {
-                if (psnDiff(wqe.psn, qp_.sendCursor) >= 0)
-                    break;
-                if (wqe.op == verbs::WrOpcode::Read ||
-                    wqe.op == verbs::WrOpcode::FetchAdd ||
-                    wqe.op == verbs::WrOpcode::CompSwap) {
+            for (std::size_t i = 0; i < at; ++i) {
+                const verbs::WrOpcode op = qp_.outstanding[i].op;
+                if (op == verbs::WrOpcode::Read ||
+                    op == verbs::WrOpcode::FetchAdd ||
+                    op == verbs::WrOpcode::CompSwap) {
                     ++outstanding_reads;
                 }
             }
@@ -260,6 +264,7 @@ RcRequester::pump()
                 return;
         }
         qp_.sendCursor = (next->psn + next->segments) & 0xffffff;
+        cursorHint_ = at + 1;
         if (next->blockedOnLocalFault)
             continue;  // released by its fault-resolution callback
         transmit(*next);
@@ -650,6 +655,8 @@ RcRequester::completeHead()
 {
     SendWqe head = qp_.outstanding.front();
     qp_.outstanding.pop_front();
+    if (cursorHint_ > 0)
+        --cursorHint_;
     if (qp_.outstanding.empty())
         rnic_.qpBecameIdle();
 
@@ -704,6 +711,8 @@ RcRequester::flushAll(verbs::WcStatus status)
     while (!qp_.outstanding.empty()) {
         SendWqe head = qp_.outstanding.front();
         qp_.outstanding.pop_front();
+        if (cursorHint_ > 0)
+            --cursorHint_;
 
         // Drop any flood-board waiters this WQE registered.
         if (head.op == verbs::WrOpcode::Read) {

@@ -147,6 +147,9 @@ class RcRequester
     Rnic& rnic_;
     QpContext& qp_;
     CounterPool faultCounters_;
+    /** Index in qp_.outstanding of the WQE at qp_.sendCursor, when
+     * still valid; pump() checks it against the PSN before use. */
+    std::size_t cursorHint_ = 0;
 };
 
 } // namespace rnic

@@ -173,7 +173,7 @@ Rnic::addRecvPostTap(RecvPostTap tap)
 }
 
 void
-Rnic::sendPacket(net::Packet pkt, QpContext& qp)
+Rnic::sendPacket(net::Packet&& pkt, QpContext& qp)
 {
     pkt.srcLid = lid_;
     pkt.srcQpn = qp.qpn;
@@ -186,7 +186,7 @@ Rnic::sendPacket(net::Packet pkt, QpContext& qp)
 }
 
 void
-Rnic::sendRaw(net::Packet pkt)
+Rnic::sendRaw(net::Packet&& pkt)
 {
     ++stats_.packetsSent;
     if (!fabric_.attached(pkt.dstLid))

@@ -179,7 +179,7 @@ class Rnic : public net::PortHandler
      * Egress helper for the RC engines: stamps source/destination fields
      * from @p qp and hands the packet to the fabric.
      */
-    void sendPacket(net::Packet pkt, QpContext& qp);
+    void sendPacket(net::Packet&& pkt, QpContext& qp);
 
     /**
      * Egress for pre-addressed packets (UD datagrams). The destination
@@ -188,7 +188,7 @@ class Rnic : public net::PortHandler
      * unrouteable datagram counts RnicStats::udUnroutedDrops (and is
      * still handed to the fabric, where capture taps see the drop).
      */
-    void sendRaw(net::Packet pkt);
+    void sendRaw(net::Packet&& pkt);
 
     /**
      * QPs with requester work in flight (drives timeout load scaling).

@@ -1,35 +1,35 @@
 /**
  * @file
- * A mutex-guarded cross-island channel with a lock-free readiness probe.
+ * A single-owner cross-island channel: a plain buffer plus a min key.
  *
  * One CrossChannel sits on every directed (source island, destination
  * island) edge that a BarrierAgent routes work along (the fabric's
- * parcels, the invariant monitor's deferred checks). The producer is the
- * worker currently executing the source island; the consumer is the
- * worker currently executing the destination island — under pairwise
- * channel clocks those run concurrently, so unlike the PR-6 design there
- * is no phase barrier separating writes from drains and the buffer needs
- * a real lock.
+ * parcels, the invariant monitor's deferred checks). It holds no lock
+ * and no atomic, because component ownership already serializes every
+ * access (DESIGN.md §12.f):
  *
- * The lock is cold in practice: minKey caches the smallest key buffered,
- * so a consumer polling for work (inboundEarliest, or a flush whose
- * threshold is below everything buffered) costs one relaxed-ish atomic
- * load and never touches the mutex. Correctness of the probe does not
- * depend on seeing a concurrent push: the kernel publishes an island's
- * clock *after* its sends with a release store and consumers read clocks
- * with an acquire load *before* probing channels, so every item at or
- * below the consumer's safe horizon is already visible by the time the
- * horizon permits consuming it (the channel-clock soundness argument in
- * DESIGN.md §12.b).
+ *  - in a round, only the worker running the channel's component pushes
+ *    to or drains it: a component is closed under in-neighbors, so both
+ *    ends of every declared edge belong to one component, and one worker
+ *    runs that component for the whole round (DESIGN.md §12.e);
+ *  - the coordinator touches channels (earliest-pending scans, quiesce
+ *    flushes, pending()) only while every worker is parked, after the
+ *    round's release/acquire handshake;
+ *  - a push along an undeclared edge (a monitor record shadowing a
+ *    packet to an unknown LID) lands in a channel that no other worker
+ *    ever drains: drains and probes walk in-neighbor lists only.
+ *
+ * minKey caches the smallest key buffered, so a consumer polling for
+ * work (inboundEarliest, or a flush whose threshold is below everything
+ * buffered) costs one compare.
  */
 
 #ifndef IBSIM_SIMCORE_CROSS_CHANNEL_HH
 #define IBSIM_SIMCORE_CROSS_CHANNEL_HH
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -46,18 +46,12 @@ class CrossChannel
     void
     push(std::int64_t key, T&& item)
     {
-        std::lock_guard<std::mutex> lock(m_);
         buf_.push_back(std::move(item));
-        if (key < minKey_.load(std::memory_order_relaxed))
-            minKey_.store(key, std::memory_order_release);
+        minKey_ = std::min(minKey_, key);
     }
 
-    /** Smallest key buffered (kEmpty when none) — lock-free probe. */
-    std::int64_t
-    minKey() const
-    {
-        return minKey_.load(std::memory_order_acquire);
-    }
+    /** Smallest key buffered (kEmpty when none). */
+    std::int64_t minKey() const { return minKey_; }
 
     /**
      * Move every item with key(item) <= threshold into @p out, preserving
@@ -68,9 +62,8 @@ class CrossChannel
     void
     drainUpTo(std::int64_t threshold, KeyFn key, std::vector<T>& out)
     {
-        if (minKey() > threshold)
+        if (minKey_ > threshold)
             return;
-        std::lock_guard<std::mutex> lock(m_);
         std::size_t keep = 0;
         std::int64_t rest = kEmpty;
         for (std::size_t i = 0; i < buf_.size(); ++i) {
@@ -85,21 +78,15 @@ class CrossChannel
             }
         }
         buf_.resize(keep);
-        minKey_.store(rest, std::memory_order_release);
+        minKey_ = rest;
     }
 
-    /** Buffered item count (consumer-side observability; takes the lock). */
-    std::size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        return buf_.size();
-    }
+    /** Buffered item count. */
+    std::size_t size() const { return buf_.size(); }
 
   private:
-    mutable std::mutex m_;
     std::vector<T> buf_;
-    std::atomic<std::int64_t> minKey_{kEmpty};
+    std::int64_t minKey_ = kEmpty;
 };
 
 } // namespace ibsim

@@ -424,6 +424,92 @@ TEST(ChaosStages, PacketFilterTargeting)
     EXPECT_FALSE(filter.matches(ack));
 }
 
+namespace {
+
+net::Packet
+payloadPacket()
+{
+    net::Packet pkt;
+    pkt.op = net::Opcode::WriteRequest;
+    pkt.srcLid = 1;
+    pkt.dstLid = 2;
+    pkt.psn = 77;
+    pkt.length = 32;
+    for (std::uint8_t i = 0; i < 32; ++i)
+        pkt.payload.push_back(i);
+    return pkt;
+}
+
+} // namespace
+
+TEST(ChaosStages, PassThroughPipelineBorrowsTheOriginal)
+{
+    chaos::FaultInjector injector(5);
+    injector.addStage(std::make_unique<chaos::DelayStage>(
+        chaos::PacketFilter{}, 1.0, Time::us(1), Time::us(2)));
+    injector.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, 0.0));
+
+    const net::Packet pkt = payloadPacket();
+    std::vector<net::FaultHook::Delivery> out;
+    injector.processPacket(pkt, Time(), out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_TRUE(out[0].borrowsOriginal());
+    EXPECT_EQ(&out[0].packet(), &pkt);
+    EXPECT_GE(out[0].extraDelay, Time::us(1));
+
+    // A duplicate owns its copy; the original stays borrowed and clean.
+    chaos::FaultInjector dup(5);
+    dup.addStage(std::make_unique<chaos::DuplicateStage>(
+        chaos::PacketFilter{}, 1.0));
+    out.clear();
+    dup.processPacket(pkt, Time(), out);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_TRUE(out[0].borrowsOriginal());
+    EXPECT_FALSE(out[1].borrowsOriginal());
+    EXPECT_NE(out[1].packet().chaosFlags & net::Packet::chaosDuplicated, 0);
+    EXPECT_EQ(out[1].packet().payload, pkt.payload);
+    EXPECT_EQ(pkt.chaosFlags, 0);
+}
+
+TEST(ChaosStages, DropTapSeesTheUncorruptedOriginal)
+{
+    // Corrupt every packet, then drop every packet: the corruption
+    // mutated the pipeline's own copy, so the drop tap must still see
+    // the packet exactly as the endpoint sent it, payload included.
+    EventQueue events;
+    Rng rng(1);
+    net::Fabric fabric(events, rng);
+    chaos::FaultInjector injector(9);
+    injector.addStage(std::make_unique<chaos::CorruptStage>(
+        chaos::PacketFilter{}, 1.0, /*evade_crc=*/1.0));
+    injector.addStage(
+        std::make_unique<chaos::DropStage>(chaos::PacketFilter{}, 1.0));
+    fabric.setFaultHook(&injector);
+
+    std::vector<std::pair<net::Packet, bool>> seen;
+    fabric.addTap([&](const net::Packet& p, bool dropped) {
+        seen.emplace_back(p, dropped);
+    });
+
+    const net::Packet sent = payloadPacket();
+    for (int i = 0; i < 16; ++i)
+        fabric.send(net::Packet(sent));
+    events.run();
+
+    EXPECT_EQ(injector.stats().corrupted, 16u);
+    EXPECT_EQ(injector.stats().dropped, 16u);
+    ASSERT_EQ(seen.size(), 16u);
+    for (const auto& [p, dropped] : seen) {
+        EXPECT_TRUE(dropped);
+        EXPECT_EQ(p.chaosFlags, 0);
+        EXPECT_EQ(p.op, sent.op);
+        EXPECT_EQ(p.psn, sent.psn);
+        EXPECT_EQ(p.length, sent.length);
+        EXPECT_EQ(p.payload, sent.payload);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Legacy LossModel compatibility: the loss model is stage zero of the
 // pipeline and keeps working with a FaultHook installed.
@@ -692,9 +778,9 @@ class EraseOriginalAnswerStage : public chaos::FaultStage
         auto it = std::remove_if(
             deliveries.begin(), deliveries.end(),
             [&](const net::FaultHook::Delivery& d) {
-                if (d.pkt.op != net::Opcode::AtomicResponse ||
-                    (d.pkt.chaosFlags & net::Packet::chaosDuplicated) !=
-                        0) {
+                const net::Packet& pkt = d.packet();
+                if (pkt.op != net::Opcode::AtomicResponse ||
+                    (pkt.chaosFlags & net::Packet::chaosDuplicated) != 0) {
                     return false;
                 }
                 ++stats.dropped;

@@ -485,6 +485,46 @@ TEST(ShardedKernel, RunUntilChecksPredicateAtBarriers)
     EXPECT_EQ(kernel.executed(), 20u);
 }
 
+TEST(CrossChannel, PartialDrainsKeepPushOrderAndMinKey)
+{
+    using Item = std::pair<std::int64_t, int>;  // (key, push index)
+    CrossChannel<Item> channel;
+    EXPECT_EQ(channel.minKey(), CrossChannel<Item>::kEmpty);
+
+    const std::int64_t keys[] = {50, 10, 40, 10, 30, 60, 20};
+    for (int i = 0; i < 7; ++i)
+        channel.push(keys[i], {keys[i], i});
+    EXPECT_EQ(channel.minKey(), 10);
+    EXPECT_EQ(channel.size(), 7u);
+
+    const auto key = [](const Item& item) { return item.first; };
+    std::vector<Item> out;
+    channel.drainUpTo(5, key, out);  // below every key: a no-op
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(channel.size(), 7u);
+
+    channel.drainUpTo(20, key, out);
+    EXPECT_EQ(out, (std::vector<Item>{{10, 1}, {10, 3}, {20, 6}}));
+    EXPECT_EQ(channel.minKey(), 30);
+    EXPECT_EQ(channel.size(), 4u);
+
+    // A push below the remaining minimum lowers it again; the survivors
+    // keep their push order ahead of it.
+    channel.push(25, {25, 7});
+    EXPECT_EQ(channel.minKey(), 25);
+    out.clear();
+    channel.drainUpTo(50, key, out);
+    EXPECT_EQ(out,
+              (std::vector<Item>{{50, 0}, {40, 2}, {30, 4}, {25, 7}}));
+    EXPECT_EQ(channel.minKey(), 60);
+
+    out.clear();
+    channel.drainUpTo(CrossChannel<Item>::kEmpty - 1, key, out);
+    EXPECT_EQ(out, (std::vector<Item>{{60, 5}}));
+    EXPECT_EQ(channel.minKey(), CrossChannel<Item>::kEmpty);
+    EXPECT_EQ(channel.size(), 0u);
+}
+
 namespace {
 
 /**
@@ -492,9 +532,9 @@ namespace {
  * the way net::Fabric does: the source island pushes into per-(src, dst)
  * CrossChannels keyed by the message's effect time (send + lookahead);
  * the destination drains everything its window horizon covers before
- * running the window. Producer and consumer islands run concurrently
- * under the pairwise channel clocks, which is exactly what CrossChannel
- * plus the clocks' release/acquire protocol make safe.
+ * running the window. No edge is declared, so the kernel assumes a
+ * dense graph: every island is in one component, whose single worker
+ * per round is what lets CrossChannel go without locks.
  */
 struct MailboxAgent : ShardedKernel::BarrierAgent
 {
@@ -557,8 +597,8 @@ struct MailboxAgent : ShardedKernel::BarrierAgent
     }
 
     ShardedKernel& kernel_;
-    /** out_[src][dst]; deques because CrossChannel must never move. */
-    std::deque<std::deque<Channel>> out_;
+    /** out_[src][dst]. */
+    std::vector<std::vector<Channel>> out_;
     std::vector<IslandTrace> received_;
 };
 

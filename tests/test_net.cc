@@ -207,3 +207,74 @@ TEST(FabricTest, WireIdsAreMonotonic)
     EXPECT_EQ(sink.received[0].wireId, id1);
     EXPECT_EQ(sink.received[1].wireId, id2);
 }
+
+TEST(FabricTest, ShardedSlotsReturnToTheSendingLanePool)
+{
+    // Island mode parks each packet in a slot of the *sending* lane's
+    // pool until the delivery (or an ingress drop) on the destination
+    // island releases it. Every slot must come back, at any worker
+    // count, and every packet must arrive intact.
+    for (const unsigned jobs : {1u, 4u}) {
+        ShardedKernel kernel(Time::ns(900), jobs);
+        EventQueue events;
+        Rng rng(1);
+        Fabric fabric(events, rng);
+        fabric.enableSharding(kernel);
+        for (std::size_t i = 0; i < 4; ++i) {
+            kernel.addIsland();
+            fabric.addIslandLane(100 + i);
+        }
+        // LIDs 1-4 sit on islands 0-3; 5 and 6 share island 1 with
+        // LID 2, and port 6 is down (its packets die at ingress).
+        Sink sinks[7];
+        const std::size_t islandOfLid[7] = {0, 0, 1, 2, 3, 1, 1};
+        for (std::uint16_t lid = 1; lid <= 6; ++lid) {
+            fabric.assignLid(lid, islandOfLid[lid]);
+            fabric.attach(lid, sinks[lid]);
+        }
+        fabric.setPortState(6, PortState::Down);
+        fabric.declareRoute(1, 2);
+        fabric.declareRoute(3, 4);
+
+        constexpr int kRounds = 25;
+        const std::pair<std::uint16_t, std::uint16_t> flows[] = {
+            {1, 2}, {2, 1}, {3, 4}, {2, 5}, {1, 6}, {2, 6}, {1, 9}};
+        for (int i = 0; i < kRounds; ++i) {
+            for (const auto& [src, dst] : flows) {
+                kernel.island(islandOfLid[src])
+                    .schedule(Time::ns(250 * i), [&fabric, src = src,
+                                                  dst = dst, i] {
+                        Packet p = makePacket(dst);
+                        p.srcLid = src;
+                        p.psn = static_cast<std::uint32_t>(i);
+                        p.payload.assign(64, static_cast<std::uint8_t>(i));
+                        fabric.send(std::move(p));
+                    });
+            }
+        }
+        kernel.run();
+
+        std::uint64_t acquires = 0;
+        for (std::size_t i = 0; i < fabric.islandCount(); ++i) {
+            const PacketPoolStats& stats = fabric.lanePool(i).stats();
+            EXPECT_EQ(stats.inFlight, 0u) << "jobs=" << jobs << " lane " << i;
+            acquires += stats.acquires;
+        }
+        // Every packet to a known LID took one slot; LID 9 took none.
+        EXPECT_EQ(acquires, 6u * kRounds) << "jobs=" << jobs;
+        EXPECT_EQ(fabric.totalPortEventDrops(), 2u * kRounds);
+        EXPECT_TRUE(sinks[6].received.empty());
+        for (const std::uint16_t lid : {1, 2, 4, 5}) {
+            ASSERT_EQ(sinks[lid].received.size(),
+                      static_cast<std::size_t>(kRounds))
+                << "jobs=" << jobs << " lid " << lid;
+            for (int i = 0; i < kRounds; ++i) {
+                const Packet& p = sinks[lid].received[i];
+                EXPECT_EQ(p.dstLid, lid);
+                EXPECT_EQ(p.psn, static_cast<std::uint32_t>(i));
+                EXPECT_EQ(p.payload, std::vector<std::uint8_t>(
+                                         64, static_cast<std::uint8_t>(i)));
+            }
+        }
+    }
+}
